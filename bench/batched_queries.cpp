@@ -1,10 +1,12 @@
 // Batched serving benchmark: many queries against ONE model, answered by a
-// core::SolveSession (one shared U-sweep + cheap per-query finalize)
+// core::SolveSession (one shared U-sweep + a pi contraction per query)
 // versus the same queries as independent RandomizationMomentSolver solves
 // (one full sweep each). The session results must be BIT-IDENTICAL to the
-// independent ones — the retained-accumulator path is the same arithmetic
-// — so this harness verifies exact equality and exits non-zero on any
-// mismatch before reporting the speedup.
+// independent ones — the retained sweep holds the moments the solvers
+// compute — so this harness verifies exact equality and exits non-zero on
+// any mismatch before reporting the speedup. Session results carry no
+// per_state; the full-panel check takes it from finalize_from_sweep on the
+// cached sweep.
 //
 // Query mix: --queries Q initial vectors pi_0..pi_{Q-1} (deterministically
 // generated, all distinct), cycling over the session's 5-point time grid,
@@ -135,12 +137,17 @@ int main(int argc, char** argv) {
   double independent_s = 0.0;
   bool identical = true;
   if (!skip_independent) {
+    const core::SweepCache::EntryPtr sweep =
+        cache->entries_snapshot().front().second;
     bench::Stopwatch sw_ind;
     for (std::size_t i = 0; i < num_queries; ++i) {
       const core::RandomizationMomentSolver solver(
           model.with_initial(initials[i]));
       const auto reference = solver.solve(times[queries[i].time_index], opts);
-      if (!bit_identical(reference, batch[i])) {
+      const auto full = core::finalize_from_sweep(
+          *sweep, queries[i].time_index, initials[i], n);
+      if (!bit_identical(reference, full) ||
+          batch[i].weighted != reference.weighted) {
         identical = false;
         std::printf("# MISMATCH at query %zu (t = %g)\n", i,
                     times[queries[i].time_index]);

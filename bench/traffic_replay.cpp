@@ -15,10 +15,15 @@
 // Self-check: the reference result for every combo is computed ONCE by a
 // synchronous query_batch on a session that shares nothing with the
 // engine. Every replayed query's weighted moments / truncation point /
-// error bound must equal its combo's reference exactly; the full
-// per-state panels are compared for the first replay of each combo (the
-// rest share the same retained sweep by construction). Any mismatch makes
-// the bench exit non-zero.
+// error bound must equal its combo's reference exactly. Served results
+// carry no per_state, so the full per-state panels are checked once per
+// combo at the end of a phase: finalize_from_sweep on the sweep the
+// engine's cache holds must equal the same call on the reference
+// session's sweep. Any mismatch makes the bench exit non-zero.
+//
+// Latency is reported twice: the engine's total_ns (submit -> results
+// ready on the worker) and the client-observed time from submit until
+// .get() returns, which adds delivery and the client's own scheduling.
 //
 // Warm restart: with --snapshot <path>, the cold phase saves the sweep
 // cache on completion, then a SECOND engine + session + cache (a
@@ -39,12 +44,15 @@
 // latency_p50_ms / latency_p99_ms / qps / clients), --metrics-out.
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -97,22 +105,51 @@ std::vector<somrm::linalg::Vec> make_weight_classes(std::size_t k,
   return out;
 }
 
-bool bit_identical(const MomentResult& a, const MomentResult& b) {
-  if (a.weighted != b.weighted) return false;
-  if (a.per_state.size() != b.per_state.size()) return false;
-  for (std::size_t j = 0; j < a.per_state.size(); ++j)
-    if (a.per_state[j] != b.per_state[j]) return false;
-  return a.truncation_point == b.truncation_point &&
-         a.error_bound == b.error_bound;
+std::int64_t steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-/// Cheap per-query check: the pi-contracted moments plus the sweep
-/// attribution fields. The full per-state panels are checked once per
-/// combo via bit_identical.
+/// Per-query check: the pi-contracted moments plus the sweep attribution
+/// fields.
 bool weighted_identical(const MomentResult& a, const MomentResult& b) {
   return a.weighted == b.weighted &&
          a.truncation_point == b.truncation_point &&
          a.error_bound == b.error_bound;
+}
+
+/// Full per-state check, once per combo: finalize_from_sweep on the sweep
+/// @p served's cache holds for the combo's key against the same call on
+/// @p ref's sweep. A combo whose sweep is missing from either cache counts
+/// as a mismatch. Returns the number of mismatching combos.
+std::size_t panel_mismatches(const somrm::core::SolveSession& served,
+                             const somrm::core::SolveSession& ref,
+                             const std::vector<SessionQuery>& combos) {
+  const auto by_key = [](const somrm::core::SolveSession& s) {
+    std::map<std::string, somrm::core::SweepCache::EntryPtr> out;
+    for (auto& [key, entry] : s.cache()->entries_snapshot())
+      out.emplace(key, entry);
+    return out;
+  };
+  const auto served_sweeps = by_key(served);
+  const auto ref_sweeps = by_key(ref);
+  std::size_t mismatches = 0;
+  for (const SessionQuery& q : combos) {
+    const std::string key = served.sweep_key(q.terminal_weights);
+    const auto a = served_sweeps.find(key);
+    const auto b = ref_sweeps.find(key);
+    if (a == served_sweeps.end() || b == ref_sweeps.end()) {
+      ++mismatches;
+      continue;
+    }
+    const MomentResult x = somrm::core::finalize_from_sweep(
+        *a->second, q.time_index, q.initial, q.max_moment);
+    const MomentResult y = somrm::core::finalize_from_sweep(
+        *b->second, q.time_index, q.initial, q.max_moment);
+    if (!weighted_identical(x, y) || x.per_state != y.per_state) ++mismatches;
+  }
+  return mismatches;
 }
 
 std::int64_t exact_quantile(const std::vector<std::int64_t>& sorted,
@@ -127,8 +164,10 @@ std::int64_t exact_quantile(const std::vector<std::int64_t>& sorted,
 
 struct PhaseOutcome {
   double wall_s = 0.0;
-  double p50_ms = 0.0;
+  double p50_ms = 0.0;  ///< engine total_ns
   double p99_ms = 0.0;
+  double client_p50_ms = 0.0;  ///< submit -> .get() returned
+  double client_p99_ms = 0.0;
   double qps = 0.0;
   std::uint64_t rejected = 0;
   std::uint64_t mismatches = 0;
@@ -138,40 +177,40 @@ struct PhaseOutcome {
 
 /// Replays @p total queries (combo i % combos.size()) through @p engine
 /// from @p clients threads, each pipelining up to @p outstanding submits.
-/// Every completed result is weighted-checked against its reference;
-/// results[k] (one per combo, when non-null) receives the first replay of
-/// combo k for the full per-state check.
+/// Every completed result is weighted-checked against its reference.
 PhaseOutcome run_phase(somrm::serve::ServeEngine& engine,
                        const std::vector<SessionQuery>& combos,
                        const std::vector<MomentResult>& refs,
-                       std::vector<MomentResult>* first_results,
                        std::size_t total, std::size_t clients,
                        std::size_t outstanding) {
+  struct InFlight {
+    std::size_t idx;
+    std::int64_t submit_ns;
+    std::future<somrm::serve::ServeResult> result;
+  };
   std::atomic<std::uint64_t> mismatches{0};
   std::atomic<std::uint64_t> rejected{0};
   std::vector<std::vector<std::int64_t>> lat(clients);
+  std::vector<std::vector<std::int64_t>> client_lat(clients);
 
   const auto client = [&](std::size_t c) {
-    std::deque<std::pair<std::size_t, std::future<somrm::serve::ServeResult>>>
-        inflight;
+    std::deque<InFlight> inflight;
     std::vector<std::int64_t>& my_lat = lat[c];
+    std::vector<std::int64_t>& my_client_lat = client_lat[c];
     const auto drain_oldest = [&] {
-      auto [idx, fut] = std::move(inflight.front());
+      InFlight f = std::move(inflight.front());
       inflight.pop_front();
-      somrm::serve::ServeResult r = fut.get();
+      const somrm::serve::ServeResult r = f.result.get();
+      my_client_lat.push_back(steady_now_ns() - f.submit_ns);
       my_lat.push_back(r.total_ns);
-      const std::size_t combo = idx % combos.size();
-      if (!weighted_identical(r.result, refs[combo]))
+      if (!weighted_identical(r.result, refs[f.idx % combos.size()]))
         mismatches.fetch_add(1, std::memory_order_relaxed);
-      // First full replay cycle: keep the complete result for the
-      // per-state bit check (slot idx has exactly one writer).
-      if (first_results && idx < combos.size())
-        (*first_results)[idx] = std::move(r.result);
     };
     for (std::size_t i = c; i < total; i += clients) {
       for (;;) {
         try {
-          inflight.emplace_back(i, engine.submit(combos[i % combos.size()]));
+          const std::int64_t t0 = steady_now_ns();
+          inflight.push_back({i, t0, engine.submit(combos[i % combos.size()])});
           break;
         } catch (const somrm::serve::RejectedError&) {
           // Admission control pushed back: free a slot (or yield when we
@@ -198,12 +237,19 @@ PhaseOutcome run_phase(somrm::serve::ServeEngine& engine,
   out.wall_s = sw.seconds();
   out.rejected = rejected.load();
   out.mismatches = mismatches.load();
-  std::vector<std::int64_t> merged;
-  merged.reserve(total);
-  for (const auto& v : lat) merged.insert(merged.end(), v.begin(), v.end());
-  std::sort(merged.begin(), merged.end());
-  out.p50_ms = static_cast<double>(exact_quantile(merged, 0.50)) * 1e-6;
-  out.p99_ms = static_cast<double>(exact_quantile(merged, 0.99)) * 1e-6;
+  const auto merged_ms = [total](const std::vector<std::vector<std::int64_t>>&
+                                     per_client,
+                                 double& p50, double& p99) {
+    std::vector<std::int64_t> merged;
+    merged.reserve(total);
+    for (const auto& v : per_client)
+      merged.insert(merged.end(), v.begin(), v.end());
+    std::sort(merged.begin(), merged.end());
+    p50 = static_cast<double>(exact_quantile(merged, 0.50)) * 1e-6;
+    p99 = static_cast<double>(exact_quantile(merged, 0.99)) * 1e-6;
+  };
+  merged_ms(lat, out.p50_ms, out.p99_ms);
+  merged_ms(client_lat, out.client_p50_ms, out.client_p99_ms);
   out.qps = out.wall_s > 0.0 ? static_cast<double>(total) / out.wall_s : 0.0;
   out.cache = engine.session()->cache_stats();
   out.engine = engine.stats();
@@ -302,16 +348,16 @@ int main(int argc, char** argv) {
   serve::ServeEngineOptions cold_opts = eopts;  // no snapshot: cold by design
   auto cold_engine =
       std::make_unique<serve::ServeEngine>(cold_session, cold_opts);
-  std::vector<MomentResult> first_cold(combos.size());
-  const PhaseOutcome cold = run_phase(*cold_engine, combos, refs, &first_cold,
-                                      total, clients, outstanding);
-  std::size_t full_mismatches = 0;
-  for (std::size_t k = 0; k < combos.size(); ++k)
-    if (k < total && !bit_identical(first_cold[k], refs[k])) ++full_mismatches;
-  std::printf("# cold: %.2f s wall, p50 %.3f ms, p99 %.3f ms, %.0f q/s; "
-              "%llu batches (largest %zu), %llu rejected; cache %zu miss / "
-              "%zu hit / %zu coalesced; mismatches %llu+%zu\n",
-              cold.wall_s, cold.p50_ms, cold.p99_ms, cold.qps,
+  const PhaseOutcome cold = run_phase(*cold_engine, combos, refs, total,
+                                      clients, outstanding);
+  const std::size_t full_mismatches =
+      panel_mismatches(*cold_session, ref_session, combos);
+  std::printf("# cold: %.2f s wall, p50 %.3f ms, p99 %.3f ms (client p50 "
+              "%.3f ms, p99 %.3f ms), %.0f q/s; %llu batches (largest %zu), "
+              "%llu rejected; cache %zu miss / %zu hit / %zu coalesced; "
+              "mismatches %llu+%zu\n",
+              cold.wall_s, cold.p50_ms, cold.p99_ms, cold.client_p50_ms,
+              cold.client_p99_ms, cold.qps,
               static_cast<unsigned long long>(cold.engine.batches),
               cold.engine.largest_batch,
               static_cast<unsigned long long>(cold.rejected),
@@ -352,18 +398,16 @@ int main(int argc, char** argv) {
     const core::SweepCacheStats preload = warm_session->cache_stats();
     std::printf("# warm start: %zu sweep(s) reloaded\n", preload.entries);
 
-    std::vector<MomentResult> first_warm(combos.size());
-    warm = run_phase(warm_engine, combos, refs, &first_warm, warm_total,
-                     clients, outstanding);
+    warm = run_phase(warm_engine, combos, refs, warm_total, clients,
+                     outstanding);
     ran_warm = true;
-    std::size_t warm_full = 0;
-    for (std::size_t k = 0; k < combos.size(); ++k)
-      if (k < warm_total && !bit_identical(first_warm[k], refs[k]))
-        ++warm_full;
+    const std::size_t warm_full =
+        panel_mismatches(*warm_session, ref_session, combos);
     std::printf("# warm: %zu queries, %.2f s wall, p50 %.3f ms, p99 %.3f "
-                "ms, %.0f q/s; cache %zu miss / %zu hit; mismatches "
-                "%llu+%zu\n",
-                warm_total, warm.wall_s, warm.p50_ms, warm.p99_ms, warm.qps,
+                "ms (client p50 %.3f ms, p99 %.3f ms), %.0f q/s; cache %zu "
+                "miss / %zu hit; mismatches %llu+%zu\n",
+                warm_total, warm.wall_s, warm.p50_ms, warm.p99_ms,
+                warm.client_p50_ms, warm.client_p99_ms, warm.qps,
                 warm.cache.misses, warm.cache.hits,
                 static_cast<unsigned long long>(warm.mismatches), warm_full);
     // The warm contract: every query served from the reloaded snapshot —
@@ -377,15 +421,17 @@ int main(int argc, char** argv) {
     if (warm.mismatches > 0 || warm_full > 0) failed = true;
   }
 
-  bench::print_row({"phase", "queries", "wall_s", "p50_ms", "p99_ms", "qps"});
-  bench::print_row({"cold", std::to_string(total), bench::fmt(cold.wall_s, 6),
-                    bench::fmt(cold.p50_ms, 6), bench::fmt(cold.p99_ms, 6),
-                    bench::fmt(cold.qps, 8)});
-  if (ran_warm)
-    bench::print_row({"warm",
-                      std::to_string(warm.engine.submitted),
-                      bench::fmt(warm.wall_s, 6), bench::fmt(warm.p50_ms, 6),
-                      bench::fmt(warm.p99_ms, 6), bench::fmt(warm.qps, 8)});
+  bench::print_row({"phase", "queries", "wall_s", "p50_ms", "p99_ms",
+                    "client_p50_ms", "client_p99_ms", "qps"});
+  const auto print_phase = [](const char* name, std::size_t queries,
+                              const PhaseOutcome& ph) {
+    bench::print_row({name, std::to_string(queries), bench::fmt(ph.wall_s, 6),
+                      bench::fmt(ph.p50_ms, 6), bench::fmt(ph.p99_ms, 6),
+                      bench::fmt(ph.client_p50_ms, 6),
+                      bench::fmt(ph.client_p99_ms, 6), bench::fmt(ph.qps, 8)});
+  };
+  print_phase("cold", total, cold);
+  if (ran_warm) print_phase("warm", warm.engine.submitted, warm);
 
   const std::string append_path =
       bench::arg_string(argc, argv, "--json-append", "");

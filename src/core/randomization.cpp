@@ -324,61 +324,77 @@ bool is_subtraction_free(const ScaledModel& scaled) {
                      [](double r) { return r >= 0.0; });
 }
 
-/// Finishes a MomentResult from the accumulated scaled sums: applies
-/// @p prefactor times the n! d^n factor, undoes the drift shift, and
-/// weights by @p initial. The prefactor is 1 for the plain solve and w_max
-/// for the terminal-weighted solve (undoing the seed normalization).
-/// @p epsilon is the Theorem-4 budget of the solve, used to scale the
-/// checked-build moment-consistency tolerance; @p jensen_applies must be
-/// false for terminal-weighted output, where V^(j) = E[B^j w(Z(t))] and
-/// Cauchy-Schwarz only yields V2 >= V1^2 for weights bounded by 1. Takes
-/// the scaling scalars rather than the model/ScaledModel pair so the
-/// retained-sweep finalize (which has no ScaledModel) runs the exact same
-/// code — per element the arithmetic chain is shared, which is what makes
-/// the session path bit-identical to the direct solvers.
-void finalize_result(std::span<const double> initial, double d, double shift,
-                     double t, double prefactor, double epsilon,
-                     bool jensen_applies, std::vector<linalg::Vec> scaled_sums,
-                     MomentResult& out) {
-  const std::size_t n = scaled_sums.size() - 1;
-  const std::size_t num_states = scaled_sums[0].size();
-
-  // V_check^(j) = prefactor * j! d^j * scaled_sums[j]  (moments of the
-  // shifted model).
-  double factor = prefactor;  // prefactor * j! d^j
+/// Turns the sweep's row-major accumulator panels @p acc (acc[ti](i, j) =
+/// sum_k Pois(k; q t) U^(j)(k)_i) into sweep.moments, freeing each
+/// accumulator panel once its moments are written, so the retained sweep
+/// holds one panel per time point. Per state i, first V(i, j) = prefactor
+/// * j! d^j * acc(i, j) (moments of the shifted model), then the
+/// drift-shift undo B(t) = B_check(t) + shift * t through the binomial
+/// expansion of shift_raw_moments, with its C(j, k) delta^(j-k)
+/// coefficients built once per time point. Per element the arithmetic
+/// chain is exactly shift_raw_moments' (each coefficient is the same
+/// product, and the sum runs from k = j down to 0), so the moments carry
+/// the bits the solvers have always returned (pinned by
+/// tests/test_session_golden.cpp). @p prefactor is 1 for the plain sweep
+/// and w_max for the terminal-weighted one (undoing the seed
+/// normalization). @p jensen_applies must be false for terminal-weighted
+/// output, where V^(j) = E[B^j w(Z(t))] and Cauchy-Schwarz only yields
+/// V2 >= V1^2 for weights bounded by 1.
+void finalize_panels(std::vector<linalg::Panel>& acc, RetainedSweep& sweep,
+                     double prefactor, bool jensen_applies,
+                     const char* caller) {
+  const std::size_t n = sweep.max_moment;
+  const std::size_t width = n + 1;
+  std::vector<double> factor(width);
+  double f = prefactor;  // prefactor * j! d^j
   for (std::size_t j = 0; j <= n; ++j) {
-    if (j > 0) factor *= static_cast<double>(j) * d;
-    linalg::scale(factor, scaled_sums[j]);
+    if (j > 0) f *= static_cast<double>(j) * sweep.d;
+    factor[j] = f;
   }
-
-  // Undo the drift shift per initial state: B(t) = B_check(t) + shift * t.
-  if (shift == 0.0) {
-    out.per_state = std::move(scaled_sums);
-  } else {
-    out.per_state.assign(n + 1, linalg::Vec(num_states, 0.0));
-    const double delta = shift * t;
-    std::vector<double> raw(n + 1);
+  const bool shifted = sweep.shift != 0.0;
+  std::vector<double> coef(width * width);  // coef[j * width + k]
+  std::vector<double> raw(width);
+  sweep.moments.clear();
+  sweep.moments.reserve(acc.size());
+  for (std::size_t ti = 0; ti < acc.size(); ++ti) {
+    if (shifted) {
+      const double delta = sweep.shift * sweep.times[ti];
+      for (std::size_t j = 0; j <= n; ++j) {
+        double delta_pow = 1.0;  // delta^(j-k), built from k = j downwards
+        for (std::size_t k = j + 1; k-- > 0;) {
+          coef[j * width + k] = binomial_coefficient(j, k) * delta_pow;
+          delta_pow *= delta;
+        }
+      }
+    }
+    const std::size_t num_states = acc[ti].rows();
+    linalg::Panel moments(width, num_states);
     for (std::size_t i = 0; i < num_states; ++i) {
-      for (std::size_t j = 0; j <= n; ++j) raw[j] = scaled_sums[j][i];
-      const auto shifted = shift_raw_moments(raw, delta);
-      for (std::size_t j = 0; j <= n; ++j) out.per_state[j][i] = shifted[j];
+      const double* row = acc[ti].row_data(i);
+      for (std::size_t j = 0; j <= n; ++j) raw[j] = row[j] * factor[j];
+      for (std::size_t j = 0; j <= n; ++j) {
+        double v = raw[j];
+        if (shifted) {
+          v = 0.0;
+          for (std::size_t k = j + 1; k-- > 0;)
+            v += coef[j * width + k] * raw[k];
+        }
+        moments(j, i) = v;
+      }
     }
-  }
-
-  out.weighted.resize(n + 1);
-  for (std::size_t j = 0; j <= n; ++j)
-    out.weighted[j] = linalg::dot(initial, out.per_state[j]);
-
-  if constexpr (check::kChecked) {
-    if (jensen_applies && out.per_state.size() >= 3) {
-      // The truncation error is epsilon per moment in scaled units; the
-      // prefactor and the shift transform amplify it.
-      const double delta = std::abs(shift) * t;
-      const double eff_eps =
-          epsilon * std::max(prefactor, 1.0) * (1.0 + delta) * (1.0 + delta);
-      check::check_moment_consistency(out.per_state[1], out.per_state[2],
-                                      eff_eps, "finalize_result");
+    acc[ti] = linalg::Panel();
+    if constexpr (check::kChecked) {
+      if (jensen_applies && n >= 2) {
+        // The truncation error is epsilon per moment in scaled units; the
+        // prefactor and the shift transform amplify it.
+        const double delta = std::abs(sweep.shift) * sweep.times[ti];
+        const double eff_eps = sweep.epsilon * std::max(prefactor, 1.0) *
+                               (1.0 + delta) * (1.0 + delta);
+        check::check_moment_consistency(moments.row(1), moments.row(2),
+                                        eff_eps, caller);
+      }
     }
+    sweep.moments.push_back(std::move(moments));
   }
 }
 
@@ -409,8 +425,6 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   sweep.q = scaled.q;
   sweep.d = scaled.d;
   sweep.shift = scaled.shift;
-  sweep.terminal_weighted = weighted;
-  sweep.prefactor = weighted ? w_max : 1.0;
 
   obs::SolverStats& stats = sweep.stats;
   stats.threads = linalg::num_threads();
@@ -424,21 +438,21 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   // Z(0) = i the reward is exactly a Brownian motion with (r_i, sigma_i^2)
   // and the moments are the closed-form normal moments (times the terminal
   // weight, which only sees the frozen state Z(t) = Z(0) = i). The panels
-  // hold FINAL per-state values; finalize only contracts with pi.
+  // are final as written; there is no truncation.
   if (scaled.q == 0.0) {
-    sweep.degenerate = true;
-    sweep.prefactor = 1.0;
     stats.kernel = "degenerate";
     stats.storage = "none";  // the closed form builds no sparse matrix
     stats.panel_width = 0;
-    sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
+    sweep.truncation_points.assign(times.size(), 0);
+    sweep.error_bounds.assign(times.size(), 0.0);
+    sweep.moments.assign(times.size(), linalg::Panel(n + 1, num_states, 0.0));
     for (std::size_t ti = 0; ti < times.size(); ++ti) {
       for (std::size_t i = 0; i < num_states; ++i) {
         const auto m = prob::brownian_raw_moments(
             model.drifts()[i] - options.center, model.variances()[i],
             times[ti], n);
         const double wi = weighted ? terminal_weights[i] : 1.0;
-        for (std::size_t j = 0; j <= n; ++j) sweep.acc[ti](i, j) = m[j] * wi;
+        for (std::size_t j = 0; j <= n; ++j) sweep.moments[ti](j, i) = m[j] * wi;
       }
     }
     stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
@@ -559,14 +573,17 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
     return terminal_weights[perm.empty() ? i : perm[i]] / w_max;
   };
 
+  // Row-major accumulators acc[ti](i, j); finalize_panels turns them into
+  // the retained moments.
+  std::vector<linalg::Panel> retained_acc;
   if (options.kernel == SweepKernel::kPanel) {
     stats.kernel = "panel";
+    std::vector<linalg::Panel>& acc = retained_acc;
     linalg::Panel u(num_states, n + 1, 0.0);
     linalg::Panel u_next(num_states, n + 1, 0.0);
     for (std::size_t i = 0; i < num_states; ++i) u(i, 0) = seed_value(i);
     if (!weighted) u_next.fill_col(0, 1.0);  // invariant column survives swaps
-    sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
-    std::vector<linalg::Panel>& acc = sweep.acc;
+    acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
 
     // k = 0 contribution.
     for (std::size_t ti = 0; ti < times.size(); ++ti) {
@@ -646,18 +663,20 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
 
     // Retain panels regardless of kernel: the vector->panel copy preserves
     // every bit, so the finalize path is kernel-agnostic.
-    sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
+    retained_acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
     for (std::size_t ti = 0; ti < times.size(); ++ti)
       for (std::size_t j = 0; j <= n; ++j)
-        sweep.acc[ti].set_col(j, acc[ti][j]);
+        retained_acc[ti].set_col(j, acc[ti][j]);
   }
 
   if (!perm.empty()) {
     // Back to the model's state order: pure row moves, no arithmetic, so
     // nothing downstream can tell a reordered sweep ran.
-    for (linalg::Panel& p : sweep.acc)
+    for (linalg::Panel& p : retained_acc)
       p = linalg::unpermute_panel_rows(p, perm);
   }
+  finalize_panels(retained_acc, sweep, w_max, /*jensen_applies=*/!weighted,
+                  caller);
 
   stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
   return sweep;
@@ -789,18 +808,14 @@ bool bit_identical(const RetainedSweep& a, const RetainedSweep& b) {
   if (!scalar_equal(a.epsilon, b.epsilon) || !scalar_equal(a.center, b.center))
     return false;
   if (!scalar_equal(a.q, b.q) || !scalar_equal(a.d, b.d) ||
-      !scalar_equal(a.shift, b.shift) ||
-      !scalar_equal(a.prefactor, b.prefactor))
-    return false;
-  if (a.terminal_weighted != b.terminal_weighted ||
-      a.degenerate != b.degenerate)
+      !scalar_equal(a.shift, b.shift))
     return false;
   if (a.truncation_points != b.truncation_points) return false;
   if (!doubles_equal(a.error_bounds, b.error_bounds)) return false;
-  if (a.acc.size() != b.acc.size()) return false;
-  for (std::size_t t = 0; t < a.acc.size(); ++t) {
-    const linalg::Panel& pa = a.acc[t];
-    const linalg::Panel& pb = b.acc[t];
+  if (a.moments.size() != b.moments.size()) return false;
+  for (std::size_t t = 0; t < a.moments.size(); ++t) {
+    const linalg::Panel& pa = a.moments[t];
+    const linalg::Panel& pb = b.moments[t];
     if (pa.rows() != pb.rows() || pa.width() != pb.width()) return false;
     if (!doubles_equal(pa.span(), pb.span())) return false;
   }
@@ -814,58 +829,103 @@ std::size_t RetainedSweep::byte_size() const {
   bytes += error_bounds.capacity() * sizeof(double);
   bytes += stats.truncation_points.capacity() * sizeof(std::size_t);
   bytes += stats.window_widths.capacity() * sizeof(std::size_t);
-  for (const linalg::Panel& p : acc)
+  for (const linalg::Panel& p : moments)
     bytes += p.rows() * p.width() * sizeof(double) + sizeof(linalg::Panel);
   return bytes;
 }
 
-MomentResult finalize_from_sweep(const RetainedSweep& sweep,
-                                 std::size_t time_index,
-                                 std::span<const double> initial,
-                                 std::size_t max_moment) {
-  if (time_index >= sweep.times.size())
-    throw std::invalid_argument(
-        "finalize_from_sweep: time index " + std::to_string(time_index) +
-        " out of range (sweep holds " + std::to_string(sweep.times.size()) +
-        " time points)");
-  if (max_moment > sweep.max_moment)
-    throw std::invalid_argument(
-        "finalize_from_sweep: moment order " + std::to_string(max_moment) +
-        " exceeds the sweep's max_moment " +
-        std::to_string(sweep.max_moment));
-  if (initial.size() != sweep.num_states())
-    throw std::invalid_argument(
-        "finalize_from_sweep: initial vector size mismatch (got " +
-        std::to_string(initial.size()) + ", sweep has " +
-        std::to_string(sweep.num_states()) + " states)");
+namespace {
 
-  const std::size_t n = max_moment;
-  const linalg::Panel& acc = sweep.acc[time_index];
+/// out[j] = sum_i pi[i] V_i^(j) for j < K in ascending i, where row j of
+/// @p moments holds V^(j): one accumulator per order, each adding in
+/// linalg::dot's order, so every sum has dot's bits. K is compile-time so
+/// the accumulators stay in registers through one pass over the panel.
+template <std::size_t K>
+void contract_rows(const linalg::Panel& moments, const double* pi,
+                   double* out) {
+  double s[K] = {};
+  const double* v[K];
+  for (std::size_t j = 0; j < K; ++j) v[j] = moments.row_data(j);
+  for (std::size_t i = 0; i < moments.width(); ++i) {
+    const double p = pi[i];
+    for (std::size_t j = 0; j < K; ++j) s[j] += p * v[j][i];
+  }
+  for (std::size_t j = 0; j < K; ++j) out[j] = s[j];
+}
+
+/// Contracts @p pi (moments.width() entries) with the first @p orders rows
+/// of @p moments into out[0..orders).
+void contract_panel(const linalg::Panel& moments, std::size_t orders,
+                    const double* pi, double* out) {
+  switch (orders) {
+    case 1: return contract_rows<1>(moments, pi, out);
+    case 2: return contract_rows<2>(moments, pi, out);
+    case 3: return contract_rows<3>(moments, pi, out);
+    case 4: return contract_rows<4>(moments, pi, out);
+    case 5: return contract_rows<5>(moments, pi, out);
+    case 6: return contract_rows<6>(moments, pi, out);
+    case 7: return contract_rows<7>(moments, pi, out);
+    case 8: return contract_rows<8>(moments, pi, out);
+    default:
+      for (std::size_t j = 0; j < orders; ++j)
+        out[j] = linalg::dot({pi, moments.width()}, moments.row(j));
+  }
+}
+
+/// contract_sweep, with @p caller naming the entry point in error messages.
+MomentResult contract(const RetainedSweep& sweep, std::size_t time_index,
+                      std::span<const double> initial, std::size_t max_moment,
+                      const char* caller) {
+  const auto fail = [caller](const std::string& what) {
+    throw std::invalid_argument(std::string(caller) + ": " + what);
+  };
+  if (time_index >= sweep.times.size())
+    fail("time index " + std::to_string(time_index) +
+         " out of range (sweep holds " + std::to_string(sweep.times.size()) +
+         " time points)");
+  if (max_moment > sweep.max_moment)
+    fail("moment order " + std::to_string(max_moment) +
+         " exceeds the sweep's max_moment " +
+         std::to_string(sweep.max_moment));
+  if (initial.size() != sweep.num_states())
+    fail("initial vector size mismatch (got " +
+         std::to_string(initial.size()) + ", sweep has " +
+         std::to_string(sweep.num_states()) + " states)");
+
   MomentResult out;
   out.time = sweep.times[time_index];
   out.q = sweep.q;
   out.d = sweep.d;
   out.shift = sweep.shift;
   out.center = sweep.center;
-  out.stats = sweep.stats;
-
-  if (sweep.degenerate) {
-    // Closed-form panels already hold final per-state values.
-    out.per_state.resize(n + 1);
-    for (std::size_t j = 0; j <= n; ++j) out.per_state[j] = acc.col(j);
-    out.weighted.resize(n + 1);
-    for (std::size_t j = 0; j <= n; ++j)
-      out.weighted[j] = linalg::dot(initial, out.per_state[j]);
-    return out;
-  }
-
   out.truncation_point = sweep.truncation_points[time_index];
   out.error_bound = sweep.error_bounds[time_index];
-  std::vector<linalg::Vec> sums(n + 1);
-  for (std::size_t j = 0; j <= n; ++j) sums[j] = acc.col(j);
-  finalize_result(initial, sweep.d, sweep.shift, out.time, sweep.prefactor,
-                  sweep.epsilon, /*jensen_applies=*/!sweep.terminal_weighted,
-                  std::move(sums), out);
+  out.stats = sweep.stats;
+  out.weighted.resize(max_moment + 1);
+  contract_panel(sweep.moments[time_index], max_moment + 1, initial.data(),
+                 out.weighted.data());
+  return out;
+}
+
+}  // namespace
+
+MomentResult contract_sweep(const RetainedSweep& sweep, std::size_t time_index,
+                            std::span<const double> initial,
+                            std::size_t max_moment) {
+  return contract(sweep, time_index, initial, max_moment, "contract_sweep");
+}
+
+MomentResult finalize_from_sweep(const RetainedSweep& sweep,
+                                 std::size_t time_index,
+                                 std::span<const double> initial,
+                                 std::size_t max_moment) {
+  MomentResult out =
+      contract(sweep, time_index, initial, max_moment, "finalize_from_sweep");
+  out.per_state.reserve(max_moment + 1);
+  for (std::size_t j = 0; j <= max_moment; ++j) {
+    const std::span<const double> v = sweep.moments[time_index].row(j);
+    out.per_state.emplace_back(v.begin(), v.end());
+  }
   return out;
 }
 

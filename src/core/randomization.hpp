@@ -162,14 +162,17 @@ void validate_solver_inputs(std::span<const double> times,
                             const MomentSolverOptions& options,
                             const char* caller);
 
-/// The retained product of one U-recursion sweep: the Poisson-weighted
-/// accumulator panels acc[ti](i, j) = sum_k Pois(k; q t_ti) U^(j)(k)_i in
-/// SCALED units (the j! d^j factor, the seed normalization and the drift
-/// shift are NOT yet applied), plus every scalar finalize_from_sweep needs
-/// to turn them into a MomentResult. The panels are independent of the
-/// initial vector pi — pi only enters through the final contraction — so a
-/// single retained sweep answers every (pi, moment order <= max_moment)
-/// query on its time grid. This is what SolveSession caches.
+/// The retained product of one U-recursion sweep: per time point, the
+/// FINAL per-state moments moments[ti](j, i) = V_i^(j)(t_ti), plus the
+/// scalars a MomentResult reports. The sweep ends by turning its Poisson-
+/// weighted accumulators sum_k Pois(k; q t) U^(j)(k) into moments, one
+/// time point at a time, freeing each accumulator panel as it goes: the
+/// prefactor * j! d^j factor (prefactor = w_max for a terminal-weighted
+/// sweep, 1 otherwise), then the drift-shift undo. The q == 0 closed form
+/// writes final moments directly. The panels are independent of the
+/// initial vector pi, so one retained sweep answers every (pi, moment order
+/// <= max_moment) query on its time grid by the contraction pi . V^(j)
+/// alone. This is what SolveSession caches.
 struct RetainedSweep {
   /// The solve key: time grid and options the sweep was run with.
   std::vector<double> times;
@@ -180,53 +183,50 @@ struct RetainedSweep {
   double q = 0.0;
   double d = 0.0;
   double shift = 0.0;
-  /// Seed normalization to undo at finalize: w_max for a terminal-weighted
-  /// sweep, 1 for the plain sweep (and for the degenerate closed form,
-  /// whose panels already hold final values).
-  double prefactor = 1.0;
-  /// True when the sweep was seeded with terminal weights w (the Jensen
-  /// consistency probe of checked builds does not apply then).
-  bool terminal_weighted = false;
-  /// True for the q == 0 closed form: acc holds the FINAL per-state moments
-  /// (Brownian closed form, weights already applied) and finalize only
-  /// contracts with pi.
-  bool degenerate = false;
-  /// Theorem-4 truncation point and achieved error bound per time point
-  /// (computed at max_moment; empty for the degenerate closed form).
+  /// Theorem-4 truncation point and achieved error bound per time point,
+  /// computed at max_moment (zeros for the q == 0 closed form).
   std::vector<std::size_t> truncation_points;
   std::vector<double> error_bounds;
-  /// One num_states x (max_moment + 1) panel per time point.
-  std::vector<linalg::Panel> acc;
+  /// One (max_moment + 1) x num_states panel per time point: row j is
+  /// V^(j)(t) over the states, contiguous, so per_state[j] is one copy.
+  /// The shift transform is lower-triangular in the order, so rows 0..k
+  /// are the moments an order-k solve returns.
+  std::vector<linalg::Panel> moments;
   /// Sweep-phase telemetry (scale/truncation/window/sweep timings); finalize
   /// and total timings are filled per query by the callers.
   obs::SolverStats stats;
 
-  std::size_t num_states() const { return acc.empty() ? 0 : acc[0].rows(); }
+  std::size_t num_states() const {
+    return moments.empty() ? 0 : moments[0].width();
+  }
   /// Approximate heap footprint, used for the SweepCache byte budget.
   std::size_t byte_size() const;
 };
 
 /// True when two retained sweeps carry bit-identical solver payloads: time
-/// grid, scalars, flags, truncation points, error bounds, and every
-/// accumulator panel compare equal BY BIT PATTERN (doubles via memcmp, so
-/// NaN payloads compare too) — the snapshot round-trip contract. The
-/// sweep-phase SolverStats are excluded: wall-clock telemetry, not solver
-/// state, and never consulted by finalize_from_sweep's arithmetic.
+/// grid, scalars, truncation points, error bounds, and every moment panel
+/// compare equal BY BIT PATTERN (doubles via memcmp, so NaN payloads
+/// compare too) — the snapshot round-trip contract. The sweep-phase
+/// SolverStats are excluded: wall-clock telemetry, not solver state.
 bool bit_identical(const RetainedSweep& a, const RetainedSweep& b);
 
-/// Finalizes one (time point, initial vector, moment order) query from a
-/// retained sweep: extracts the first @p max_moment + 1 accumulator
-/// columns, applies the prefactor * j! d^j factor, undoes the drift shift,
-/// and contracts with @p initial. The arithmetic chain is exactly the one
-/// solve_multi / solve_terminal_weighted run, so for max_moment ==
-/// sweep.max_moment the result is bit-identical to an independent solve;
-/// for a lower order it is bit-identical to the independent solve at the
-/// SWEEP's max_moment truncated to the first max_moment + 1 entries (the
-/// binomial shift transform is lower-triangular, so lower orders do not
-/// depend on higher ones). truncation_point / error_bound always report the
+/// Answers one (time point, initial vector, moment order) query from a
+/// retained sweep by the contraction weighted[j] = sum_i pi_i V_i^(j)(t),
+/// summed in ascending i like linalg::dot, for j = 0..@p max_moment. Fills
+/// every MomentResult field except per_state. Because the panels hold the
+/// moments the solvers compute, the result is bit-identical to an
+/// independent solve at the sweep's max_moment, truncated to the first
+/// max_moment + 1 entries. truncation_point / error_bound always report the
 /// sweep's max-order values. Throws std::invalid_argument on an
 /// out-of-range time index, order > sweep.max_moment, or an initial vector
-/// of the wrong size.
+/// of the wrong size. This is a cache hit's whole arithmetic.
+MomentResult contract_sweep(const RetainedSweep& sweep,
+                            std::size_t time_index,
+                            std::span<const double> initial,
+                            std::size_t max_moment);
+
+/// contract_sweep plus per_state: the first @p max_moment + 1 moment rows
+/// of the time point. The solve paths return this.
 MomentResult finalize_from_sweep(const RetainedSweep& sweep,
                                  std::size_t time_index,
                                  std::span<const double> initial,
@@ -261,8 +261,9 @@ class RandomizationMomentSolver {
       const MomentSolverOptions& options = {}) const;
 
   /// Runs the U-recursion sweep once over @p times and returns the retained
-  /// accumulator panels instead of finalized results — the shareable,
-  /// pi-independent part of solve_multi (empty @p terminal_weights) or of
+  /// per-state moment panels instead of pi-contracted results — the
+  /// shareable, pi-independent part of solve_multi (empty @p
+  /// terminal_weights) or of
   /// solve_terminal_weighted (non-empty weights, validated like
   /// solve_terminal_weighted). Both solve paths are implemented on top of
   /// this, so finalize_from_sweep(sweep_retained(...)) is bit-identical to

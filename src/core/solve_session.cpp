@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -13,52 +12,11 @@
 #include "obs/histogram.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "support/word_hash.hpp"
 
 namespace somrm::core {
 
 namespace {
-
-/// 128-bit content hash built from two decorrelated 64-bit FNV-1a lanes.
-/// Deterministic across runs and platforms of equal endianness; used only
-/// as a cache key, so collisions merely alias cache entries and the lanes'
-/// independence makes that astronomically unlikely for real models.
-class Fnv128 {
- public:
-  void update(const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      a_ = (a_ ^ p[i]) * kPrime;
-      b_ = (b_ ^ p[i]) * kPrime;
-    }
-  }
-
-  void update_u64(std::uint64_t v) { update(&v, sizeof v); }
-
-  void update_doubles(std::span<const double> xs) {
-    update_u64(xs.size());
-    if (!xs.empty()) update(xs.data(), xs.size() * sizeof(double));
-  }
-
-  void update_sizes(std::span<const std::size_t> xs) {
-    update_u64(xs.size());
-    for (std::size_t x : xs) update_u64(static_cast<std::uint64_t>(x));
-  }
-
-  std::string hex() const {
-    char buf[2 * 16 + 1];
-    std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                  static_cast<unsigned long long>(a_),
-                  static_cast<unsigned long long>(b_));
-    return buf;
-  }
-
- private:
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t a_ = 14695981039346656037ULL;
-  // Second lane: offset basis perturbed by a golden-ratio constant so the
-  // lanes decorrelate despite sharing the multiplier.
-  std::uint64_t b_ = 14695981039346656037ULL ^ 0x9e3779b97f4a7c15ULL;
-};
 
 /// Content hash of everything the sweep reads from the model: the generator
 /// CSR structure and values, drifts, and variances. The initial vector is
@@ -66,35 +24,35 @@ class Fnv128 {
 /// models differing only in pi must share cache entries.
 std::string model_fingerprint(const SecondOrderMrm& model) {
   const linalg::CsrMatrix& q = model.generator().matrix();
-  Fnv128 h;
-  h.update_u64(model.num_states());
-  h.update_sizes(q.row_ptr());
-  h.update_sizes(q.col_idx());
-  h.update_doubles(q.values());
-  h.update_doubles(model.drifts());
-  h.update_doubles(model.variances());
+  support::WordHash h;
+  h.word(model.num_states());
+  h.sizes(q.row_ptr());
+  h.sizes(q.col_idx());
+  h.doubles(q.values());
+  h.doubles(model.drifts());
+  h.doubles(model.variances());
   return h.hex();
 }
 
 std::string weights_hash(std::span<const double> weights) {
-  Fnv128 h;
-  h.update_doubles(weights);
+  support::WordHash h;
+  h.doubles(weights);
   return h.hex();
 }
 
-/// Serializes the solve key (everything besides the model content and the
-/// weights that selects a distinct sweep) into the cache-key string. Doubles
-/// go in by bit pattern: 0.1 and 0.1000000000000001 are different sweeps.
+/// Hashes the solve key (everything besides the model content and the
+/// weights that selects a distinct sweep). Doubles go in by bit pattern:
+/// 0.1 and 0.1000000000000001 are different sweeps.
 std::string solve_key(std::span<const double> times,
                       const MomentSolverOptions& options) {
-  Fnv128 h;
-  h.update_doubles(times);
-  h.update_u64(options.max_moment);
-  h.update_doubles(std::span<const double>(&options.epsilon, 1));
-  h.update_doubles(std::span<const double>(&options.center, 1));
-  h.update_u64(static_cast<std::uint64_t>(options.scale_policy));
-  h.update_u64(static_cast<std::uint64_t>(options.kernel));
-  h.update_u64(static_cast<std::uint64_t>(options.storage));
+  support::WordHash h;
+  h.doubles(times);
+  h.word(options.max_moment);
+  h.word(std::bit_cast<std::uint64_t>(options.epsilon));
+  h.word(std::bit_cast<std::uint64_t>(options.center));
+  h.word(static_cast<std::uint64_t>(options.scale_policy));
+  h.word(static_cast<std::uint64_t>(options.kernel));
+  h.word(static_cast<std::uint64_t>(options.storage));
   return h.hex();
 }
 
@@ -127,10 +85,19 @@ void validate_query_weights(std::span<const double> weights,
         "SolveSession: query terminal-weight vector size mismatch (got " +
         std::to_string(weights.size()) + ", model has " +
         std::to_string(num_states) + " states)");
-  if (!linalg::is_nonnegative(weights))
+  // One branch-free pass instead of is_nonnegative then max_elem. A NaN
+  // fails `w >= 0`, so once no weight is negative, "max > 0" is "some
+  // weight > 0" and the verdicts are the same.
+  bool negative = false;
+  bool positive = false;
+  for (const double w : weights) {
+    negative |= !(w >= 0.0);
+    positive |= w > 0.0;
+  }
+  if (negative)
     throw std::invalid_argument(
         "SolveSession: query terminal weights must be non-negative");
-  if (!(linalg::max_elem(weights) > 0.0))
+  if (!positive)
     throw std::invalid_argument(
         "SolveSession: query terminal weights must not be all zero");
 }
@@ -331,24 +298,23 @@ SolveSession::SolveSession(SecondOrderMrm model, std::vector<double> times,
   validate_solver_inputs(times_, options_, "SolveSession");
   base_key_ = model_fingerprint(solver_.model()) + "|" +
               solve_key(times_, options_);
+  plain_key_ = base_key_ + "|plain";
 }
 
 std::string SolveSession::sweep_key(
     std::span<const double> terminal_weights) const {
-  if (terminal_weights.empty()) return base_key_ + "|plain";
+  if (terminal_weights.empty()) return plain_key_;
   return base_key_ + "|w=" + weights_hash(terminal_weights);
 }
 
 void SolveSession::validate_query(const SessionQuery& q) const {
   const std::size_t num_states = solver_.model().num_states();
-  const std::size_t order =
-      q.max_moment == SessionQuery::kSessionMax ? options_.max_moment
-                                                : q.max_moment;
   if (q.time_index >= times_.size())
     throw std::invalid_argument(
         "SolveSession: query time index " + std::to_string(q.time_index) +
         " out of range (session grid has " + std::to_string(times_.size()) +
         " time points)");
+  const std::size_t order = resolved_order(q);
   if (order > options_.max_moment)
     throw std::invalid_argument(
         "SolveSession: query moment order " + std::to_string(order) +
@@ -359,106 +325,103 @@ void SolveSession::validate_query(const SessionQuery& q) const {
     validate_query_weights(q.terminal_weights, num_states);
 }
 
-SweepCache::EntryPtr SolveSession::retained(
-    std::span<const double> weights, std::string* weights_key,
-    SweepCache::Outcome* outcome) const {
-  std::string key = sweep_key(weights);
-  if (weights_key) *weights_key = key;
-  return cache_->get_or_compute(
-      key, [&] { return solver_.sweep_retained(times_, options_, weights); },
-      outcome);
+std::size_t SolveSession::resolved_order(const SessionQuery& q) const {
+  return q.max_moment == SessionQuery::kSessionMax ? options_.max_moment
+                                                   : q.max_moment;
 }
 
-MomentResult SolveSession::query_impl(
-    const SessionQuery& q,
-    std::map<std::string, std::shared_ptr<const MomentResult>>* reuse,
-    QueryRecord* record_out) const {
-  const std::int64_t total_t0 = obs::now_ns();
+AdmittedQuery SolveSession::admit(SessionQuery q) const {
   validate_query(q);
-  const std::size_t order =
-      q.max_moment == SessionQuery::kSessionMax ? options_.max_moment
-                                                : q.max_moment;
-  const std::span<const double> initial =
-      q.initial.empty() ? std::span<const double>(solver_.model().initial())
-                        : std::span<const double>(q.initial);
+  const std::size_t order = resolved_order(q);
+  std::string key = sweep_key(q.terminal_weights);
+  return AdmittedQuery(std::move(q), order, std::move(key));
+}
 
-  const std::uint64_t query_id =
-      g_next_query_id.fetch_add(1, std::memory_order_relaxed) + 1;
-
-  std::string weights_key;
-  SweepCache::Outcome outcome = SweepCache::Outcome::kHit;
-  const SweepCache::EntryPtr sweep =
-      retained(q.terminal_weights, &weights_key, &outcome);
-  if (outcome == SweepCache::Outcome::kMiss) {
-    // Peak RSS moves on sweep computation, not on finalize-only queries;
-    // sampling /proc here (and in report()) keeps the hit path free of
-    // filesystem reads at serving rates.
-    static obs::Gauge& rss_gauge = obs::gauge("mem.peak_rss_bytes");
-    rss_gauge.set(obs::peak_rss_bytes());
-  }
-
+std::vector<MomentResult> SolveSession::run(
+    std::span<const Job> jobs, std::vector<QueryRecord>* records_out) const {
+  const std::size_t n = jobs.size();
+  std::vector<MomentResult> out;
+  out.reserve(n);
+  std::vector<QueryRecord> records(n);
   static obs::Metric& finalize_metric = obs::metric("session.query.finalize");
-  const std::int64_t finalize_t0 = obs::now_ns();
-  MomentResult out;
-  if (reuse) {
-    // Batch mode: per (weights, time, order) the unscale/shift finalize is
-    // materialized once; queries differing only in pi pay one dot product
-    // per moment order. Recomputing `weighted` from the shared per_state
-    // runs the exact contraction finalize_from_sweep runs, so the reuse
-    // path stays bit-identical to the direct one.
-    const std::string finalize_key = weights_key + "#" +
-                                     std::to_string(q.time_index) + "#" +
-                                     std::to_string(order);
-    auto it = reuse->find(finalize_key);
-    if (it == reuse->end()) {
-      auto base = std::make_shared<const MomentResult>(
-          finalize_from_sweep(*sweep, q.time_index, initial, order));
-      (*reuse)[finalize_key] = base;
-      out = *base;
-    } else {
-      out = *it->second;
-      for (std::size_t j = 0; j < out.per_state.size(); ++j)
-        out.weighted[j] = linalg::dot(initial, out.per_state[j]);
+  std::size_t retained_bytes = 0;  // footprint of the last query's sweep
+  for (std::size_t i = 0; i < n; ++i) {
+    const Job& job = jobs[i];
+    const SessionQuery& q = *job.query;
+    const std::int64_t start = obs::now_ns();
+    SweepCache::Outcome outcome = SweepCache::Outcome::kHit;
+    const SweepCache::EntryPtr sweep = cache_->get_or_compute(
+        *job.key,
+        [&] {
+          return solver_.sweep_retained(times_, options_, q.terminal_weights);
+        },
+        &outcome);
+    if constexpr (obs::kEnabled) {
+      if (outcome == SweepCache::Outcome::kMiss) {
+        // Peak RSS moves on sweep computation, not on contraction-only
+        // queries; sampling here (and in report()) keeps the hit path free
+        // of /proc reads at serving rates.
+        static obs::Gauge& rss_gauge = obs::gauge("mem.peak_rss_bytes");
+        rss_gauge.set(obs::peak_rss_bytes());
+      }
     }
-  } else {
-    out = finalize_from_sweep(*sweep, q.time_index, initial, order);
+    if (i + 1 == n) retained_bytes = sweep->byte_size();
+    const std::int64_t finalize_t0 = obs::now_ns();
+    out.push_back(contract_sweep(
+        *sweep, q.time_index,
+        q.initial.empty() ? std::span<const double>(solver_.model().initial())
+                          : std::span<const double>(q.initial),
+        job.order));
+    const std::int64_t done = obs::now_ns();
+    finalize_metric.add(1, done - finalize_t0);
+
+    QueryRecord& rec = records[i];
+    rec.query_id = g_next_query_id.fetch_add(1, std::memory_order_relaxed) + 1;
+    rec.time_index = q.time_index;
+    rec.max_moment = job.order;
+    rec.latency_ns = job.admit_ns + (done - start);
+    rec.finalize_ns = done - finalize_t0;
+    rec.cache_outcome = outcome;
+    rec.sweep_key = *job.key;
+    out.back().stats.finalize_seconds = obs::seconds_between(finalize_t0, done);
+    out.back().stats.total_seconds =
+        obs::seconds_between(done - rec.latency_ns, done);
+
+    // Per-query span: histogram cells and the trace event carrying the
+    // query ID. All of it reads clocks and copies computed values — the
+    // numeric result is untouched (bit-identity pinned by tests).
+    if constexpr (obs::kEnabled) {
+      static obs::Histogram& latency_hist =
+          obs::histogram("session.query.latency_ns");
+      static obs::Histogram& finalize_hist =
+          obs::histogram("session.query.finalize_ns");
+      latency_hist.record(rec.latency_ns);
+      finalize_hist.record(rec.finalize_ns);
+      if (obs::trace_enabled())
+        obs::trace_complete(
+            "session.query", "session", done - rec.latency_ns, rec.latency_ns,
+            "query_id", static_cast<double>(rec.query_id), "cache",
+            static_cast<double>(static_cast<int>(outcome)));
+    }
   }
-  const std::int64_t done = obs::now_ns();
-  finalize_metric.add(1, done - finalize_t0);
 
-  // Per-query timings on top of the sweep-phase stats, plus the cache's
-  // cumulative counters at query time.
-  out.stats.finalize_seconds = obs::seconds_between(finalize_t0, done);
-  out.stats.total_seconds = obs::seconds_between(total_t0, done);
+  // Once per batch: the cache's cumulative counters into every result, the
+  // gauges, and one record-ring lock.
   const SweepCacheStats cs = cache_->stats();
-  out.stats.cache_hits = cs.hits;
-  out.stats.cache_misses = cs.misses;
-  out.stats.cache_evictions = cs.evictions;
-  out.stats.cache_coalesced = cs.coalesced;
-  out.stats.cache_over_budget = cs.over_budget;
-
-  // Per-query span: histogram cells, memory gauges + counter tracks, the
-  // trace event carrying the query ID, and the SessionReport record. All
-  // of it reads clocks and copies already-computed values — the numeric
-  // result above is untouched (bit-identity pinned by tests).
-  const std::int64_t latency_ns = done - total_t0;
-  const std::int64_t finalize_ns = done - finalize_t0;
+  for (MomentResult& r : out) {
+    r.stats.cache_hits = cs.hits;
+    r.stats.cache_misses = cs.misses;
+    r.stats.cache_evictions = cs.evictions;
+    r.stats.cache_coalesced = cs.coalesced;
+    r.stats.cache_over_budget = cs.over_budget;
+  }
   if constexpr (obs::kEnabled) {
-    static obs::Histogram& latency_hist =
-        obs::histogram("session.query.latency_ns");
-    static obs::Histogram& finalize_hist =
-        obs::histogram("session.query.finalize_ns");
-    latency_hist.record(latency_ns);
-    finalize_hist.record(finalize_ns);
     static obs::Gauge& cache_bytes_gauge = obs::gauge("session.cache.bytes");
+    cache_bytes_gauge.set(static_cast<std::int64_t>(cs.bytes));
     static obs::Gauge& retained_gauge =
         obs::gauge("session.sweep.retained_bytes");
-    cache_bytes_gauge.set(static_cast<std::int64_t>(cs.bytes));
-    retained_gauge.set(static_cast<std::int64_t>(sweep->byte_size()));
+    if (n > 0) retained_gauge.set(static_cast<std::int64_t>(retained_bytes));
     if (obs::trace_enabled()) {
-      obs::trace_complete("session.query", "session", total_t0, latency_ns,
-                          "query_id", static_cast<double>(query_id), "cache",
-                          static_cast<double>(static_cast<int>(outcome)));
       obs::trace_counter("session.cache.bytes",
                          static_cast<double>(cs.bytes));
       obs::trace_counter("mem.peak_rss_bytes",
@@ -467,23 +430,23 @@ MomentResult SolveSession::query_impl(
     }
   }
   {
-    QueryRecord rec;
-    rec.query_id = query_id;
-    rec.time_index = q.time_index;
-    rec.max_moment = order;
-    rec.latency_ns = latency_ns;
-    rec.finalize_ns = finalize_ns;
-    rec.cache_outcome = outcome;
-    rec.sweep_key = weights_key;
-    if (record_out) *record_out = rec;
     support::MutexLock lock(records_mutex_);
-    ++queries_;
-    records_.push_back(std::move(rec));
+    queries_ += n;
+    for (QueryRecord& rec : records) {
+      if (records_out)
+        records_.push_back(rec);
+      else
+        records_.push_back(std::move(rec));
+    }
     while (records_.size() > kMaxQueryRecords) {
       records_.pop_front();
       ++dropped_records_;
     }
   }
+  if (records_out)
+    records_out->insert(records_out->end(),
+                        std::make_move_iterator(records.begin()),
+                        std::make_move_iterator(records.end()));
   return out;
 }
 
@@ -514,12 +477,16 @@ SessionReport SolveSession::report() const {
 }
 
 MomentResult SolveSession::query(const SessionQuery& q) const {
-  return query_impl(q, nullptr, nullptr);
+  return query(q, nullptr);
 }
 
 MomentResult SolveSession::query(const SessionQuery& q,
                                  QueryRecord* record) const {
-  return query_impl(q, nullptr, record);
+  std::vector<QueryRecord> records;
+  std::vector<MomentResult> out =
+      query_batch({&q, 1}, record ? &records : nullptr);
+  if (record) *record = std::move(records.front());
+  return std::move(out.front());
 }
 
 std::vector<MomentResult> SolveSession::query_batch(
@@ -530,16 +497,35 @@ std::vector<MomentResult> SolveSession::query_batch(
 std::vector<MomentResult> SolveSession::query_batch(
     std::span<const SessionQuery> queries,
     std::vector<QueryRecord>* records) const {
-  std::vector<MomentResult> out;
-  out.reserve(queries.size());
-  if (records) records->reserve(records->size() + queries.size());
-  std::map<std::string, std::shared_ptr<const MomentResult>> reuse;
+  // admit() without the copy, for every query before any runs.
+  std::vector<std::string> keys;
+  keys.reserve(queries.size());
+  std::vector<Job> jobs;
+  jobs.reserve(queries.size());
   for (const SessionQuery& q : queries) {
-    QueryRecord rec;
-    out.push_back(query_impl(q, &reuse, records ? &rec : nullptr));
-    if (records) records->push_back(std::move(rec));
+    const std::int64_t t0 = obs::now_ns();
+    validate_query(q);
+    keys.push_back(sweep_key(q.terminal_weights));
+    jobs.push_back({&q, resolved_order(q), &keys.back(), obs::now_ns() - t0});
   }
-  return out;
+  return run(jobs, records);
+}
+
+std::vector<MomentResult> SolveSession::answer(
+    std::span<const AdmittedQuery> batch,
+    std::vector<QueryRecord>* records) const {
+  std::vector<Job> jobs;
+  jobs.reserve(batch.size());
+  for (const AdmittedQuery& a : batch) {
+    // The base key covers the model content and the solve key, so a match
+    // means admission's checks hold for this session too.
+    if (a.sweep_key().compare(0, base_key_.size(), base_key_) != 0)
+      throw std::invalid_argument(
+          "SolveSession: query was admitted by a session with a different "
+          "model or solve key");
+    jobs.push_back({&a.query(), a.order(), &a.sweep_key(), 0});
+  }
+  return run(jobs, records);
 }
 
 }  // namespace somrm::core

@@ -7,10 +7,12 @@
 // moment order requested. randomization.hpp already shares one sweep across
 // a time grid; this layer shares it across QUERIES: a SolveSession runs the
 // fused panel sweep once per (model, time grid, epsilon, max moment,
-// terminal-weight vector) key, retains the Poisson-weighted accumulator
-// panels (core::RetainedSweep), and answers each query by the cheap
-// finalize_from_sweep contraction — O(N * (n+1)) per query instead of a
-// full O(G * nnz * n) sweep.
+// terminal-weight vector) key, retains the finalized per-state moment
+// panels (core::RetainedSweep), and answers each query by the contraction
+// pi . V^(j) (core::contract_sweep) — O(N * (n+1)) per query instead of a
+// full O(G * nnz * n) sweep. A cache hit does that contraction and nothing
+// else: the query is validated and keyed once (SolveSession::admit), and
+// session results carry no per_state panels.
 //
 // What shares a sweep, and what does not:
 //  * Different initial vectors pi — ALWAYS share. The retained panels are
@@ -32,8 +34,9 @@
 // the same key: the first caller computes, everyone else blocks on a
 // shared future and receives the same retained sweep. Telemetry:
 // session.cache.{hit,miss,evict,coalesced} counters and a
-// session.query.finalize timer (obs::metric), plus cumulative cache totals
-// in every returned MomentResult's SolverStats.
+// session.query.finalize timer (obs::metric), plus the cache's cumulative
+// totals, read once per batch, in every returned MomentResult's
+// SolverStats.
 
 #pragma once
 
@@ -47,6 +50,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/randomization.hpp"
@@ -163,8 +167,10 @@ struct QueryRecord {
   std::size_t time_index = 0;   ///< the query's time-grid index
   std::size_t max_moment = 0;   ///< resolved moment order (session max
                                 ///< substituted for kSessionMax)
-  std::int64_t latency_ns = 0;  ///< whole query() wall time (0 in OFF builds)
-  std::int64_t finalize_ns = 0; ///< finalize_from_sweep portion
+  /// The query's own admission, cache lookup and contraction (0 in OFF
+  /// builds).
+  std::int64_t latency_ns = 0;
+  std::int64_t finalize_ns = 0; ///< the contraction part of latency_ns
   SweepCache::Outcome cache_outcome = SweepCache::Outcome::kHit;
   std::string sweep_key;        ///< full cache key of the sweep that served it
 };
@@ -208,15 +214,41 @@ struct SessionQuery {
   linalg::Vec terminal_weights;
 };
 
+/// A query a SolveSession has validated, with its moment order resolved and
+/// its sweep-cache key computed. Only SolveSession::admit constructs one,
+/// so holding one means the checks ran. The serving engine admits at
+/// submit, groups on sweep_key(), and hands the admitted query to a worker
+/// that neither validates nor hashes again.
+class AdmittedQuery {
+ public:
+  const SessionQuery& query() const { return query_; }
+  /// The resolved moment order (the session max for kSessionMax).
+  std::size_t order() const { return order_; }
+  /// SolveSession::sweep_key of the query's terminal weights.
+  const std::string& sweep_key() const { return sweep_key_; }
+
+ private:
+  friend class SolveSession;
+  AdmittedQuery(SessionQuery query, std::size_t order, std::string sweep_key)
+      : query_(std::move(query)),
+        order_(order),
+        sweep_key_(std::move(sweep_key)) {}
+
+  SessionQuery query_;
+  std::size_t order_ = 0;
+  std::string sweep_key_;
+};
+
 /// A batched query engine over one model and one time grid: the sweep runs
 /// (at most) once per distinct terminal-weight vector and is shared by
 /// every query. Results are bit-identical to the corresponding independent
 /// RandomizationMomentSolver::solve / solve_multi / solve_terminal_weighted
 /// call at the session's max_moment — a query with a lower order returns
-/// exactly the first order+1 entries of that call's output (see
-/// finalize_from_sweep). Sessions are cheap; the expensive state lives in
-/// the (shareable) SweepCache. const and thread-safe: concurrent query()
-/// calls coalesce on the cache.
+/// exactly the first order+1 entries of that call's output — except that
+/// per_state stays empty: a query pays for the pi contraction only (use
+/// finalize_from_sweep on a cache entry for the full panel). Sessions are
+/// cheap; the expensive state lives in the (shareable) SweepCache. const
+/// and thread-safe: concurrent query() calls coalesce on the cache.
 class SolveSession {
  public:
   /// @p times must be strictly increasing (validate_solver_inputs);
@@ -228,19 +260,18 @@ class SolveSession {
   /// Answers one query. Throws std::invalid_argument on a bad time index,
   /// order > max_moment, or an invalid initial / weight vector. The
   /// returned stats carry the sweep-phase timings of the retained sweep,
-  /// THIS query's finalize/total timings, and the cache's cumulative
-  /// counters at query time.
+  /// THIS query's finalize (contraction) and total timings, and the
+  /// cache's cumulative counters as of the end of the query's batch.
   MomentResult query(const SessionQuery& q) const;
 
   /// query() that also hands back this query's QueryRecord (the same one
-  /// pushed into the session ring) — the serving engine attaches it to the
-  /// streamed result so clients get attribution without racing report().
+  /// pushed into the session ring).
   MomentResult query(const SessionQuery& q, QueryRecord* record) const;
 
-  /// Answers a batch in input order. Beyond the shared sweeps, queries in
-  /// the same batch that differ only in pi also share the unscale/shift
-  /// finalize work: per (weights, time, order) the per-state moments are
-  /// materialized once and each query pays only its pi contraction.
+  /// Answers a batch in input order. Every query is validated and keyed
+  /// like query() before any runs. Every query pays its own cache lookup
+  /// and contraction; the cache counters are read, the gauges set, and the
+  /// record ring locked, once per batch.
   std::vector<MomentResult> query_batch(
       std::span<const SessionQuery> queries) const;
 
@@ -249,10 +280,20 @@ class SolveSession {
   std::vector<MomentResult> query_batch(std::span<const SessionQuery> queries,
                                         std::vector<QueryRecord>* records) const;
 
+  /// Validates @p q and resolves its order and sweep key — the checks
+  /// query() runs — throwing std::invalid_argument on the first violation.
+  AdmittedQuery admit(SessionQuery q) const;
+
+  /// Answers admitted queries in input order without validating or
+  /// hashing again; otherwise exactly query_batch(). Throws
+  /// std::invalid_argument for a query admitted by a session with a
+  /// different model or solve key. Appends records like query_batch().
+  std::vector<MomentResult> answer(std::span<const AdmittedQuery> batch,
+                                   std::vector<QueryRecord>* records) const;
+
   /// Validates @p q exactly as query() would — time index, moment order,
   /// initial vector, terminal weights — throwing std::invalid_argument on
-  /// the first violation. Lets a serving frontier reject bad queries at
-  /// admission instead of on a worker thread.
+  /// the first violation.
   void validate_query(const SessionQuery& q) const;
 
   /// The full sweep-cache key the query's terminal-weight vector maps to:
@@ -284,19 +325,28 @@ class SolveSession {
   const std::string& base_key() const { return base_key_; }
 
  private:
-  MomentResult query_impl(
-      const SessionQuery& q,
-      std::map<std::string, std::shared_ptr<const MomentResult>>* reuse,
-      QueryRecord* record_out) const;
-  SweepCache::EntryPtr retained(std::span<const double> weights,
-                                std::string* weights_key,
-                                SweepCache::Outcome* outcome) const;
+  /// The order query() resolves for @p q (after validate_query).
+  std::size_t resolved_order(const SessionQuery& q) const;
+  /// One query ready to run: validated, order resolved, keyed.
+  struct Job {
+    const SessionQuery* query;
+    std::size_t order;
+    const std::string* key;
+    std::int64_t admit_ns;  ///< what validating and keying it took
+  };
+  /// The one execution path: per job, the cache lookup (or the sweep a miss
+  /// needs) and the contraction, in input order, with one span per query.
+  /// The cache counters, the gauges and the record ring are touched once
+  /// per batch.
+  std::vector<MomentResult> run(std::span<const Job> jobs,
+                                std::vector<QueryRecord>* records) const;
 
   RandomizationMomentSolver solver_;
   std::vector<double> times_;
   MomentSolverOptions options_;
   std::shared_ptr<SweepCache> cache_;
   std::string base_key_;
+  std::string plain_key_;  ///< sweep_key({})
 
   // Per-query span ring (query() is const; the history is observability
   // state, not solver state).

@@ -114,8 +114,8 @@ struct SolverStats {
   double load_imbalance = 0.0;
 
   // -- batched-serving cache (filled by core::SolveSession queries with the
-  //    session cache's cumulative totals at query time; all zero for direct
-  //    solver calls, which never touch a cache) --
+  //    session cache's cumulative totals at the end of the query's batch;
+  //    all zero for direct solver calls, which never touch a cache) --
   std::size_t cache_hits = 0;       ///< queries served from a retained sweep
   std::size_t cache_misses = 0;     ///< queries that ran a fresh sweep
   std::size_t cache_evictions = 0;  ///< sweeps dropped by the LRU byte budget

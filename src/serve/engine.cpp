@@ -90,10 +90,8 @@ void ServeEngine::enqueue(Pending&& p) {
 }
 
 std::future<ServeResult> ServeEngine::submit(core::SessionQuery query) {
-  session_->validate_query(query);  // malformed queries fail synchronously
-  Pending p;
-  p.key = session_->sweep_key(query.terminal_weights);
-  p.query = std::move(query);
+  // Malformed queries fail synchronously, here and nowhere later.
+  Pending p(session_->admit(std::move(query)));
   p.enqueue_ns = steady_now_ns();
   std::future<ServeResult> fut = p.promise.get_future();
   enqueue(std::move(p));
@@ -103,10 +101,7 @@ std::future<ServeResult> ServeEngine::submit(core::SessionQuery query) {
 void ServeEngine::submit(core::SessionQuery query, ServeCallback callback) {
   if (!callback)
     throw std::invalid_argument("ServeEngine: callback must not be empty");
-  session_->validate_query(query);
-  Pending p;
-  p.key = session_->sweep_key(query.terminal_weights);
-  p.query = std::move(query);
+  Pending p(session_->admit(std::move(query)));
   p.enqueue_ns = steady_now_ns();
   p.use_callback = true;
   p.callback = std::move(callback);
@@ -117,7 +112,7 @@ void ServeEngine::gather_same_key_locked(const std::string& key,
                                          std::list<Pending>& group) {
   for (auto it = queue_.begin();
        it != queue_.end() && group.size() < options_.max_batch;) {
-    if (it->key == key) {
+    if (it->query.sweep_key() == key) {
       auto next = std::next(it);
       group.splice(group.end(), queue_, it);
       it = next;
@@ -140,7 +135,8 @@ void ServeEngine::worker_loop() {
       // misses the window (or lands on another worker) forms its own
       // group and coalesces at the SweepCache instead.
       group.splice(group.end(), queue_, queue_.begin());
-      const std::string key = group.front().key;
+      // List nodes do not move under splice, so the leader's key stays put.
+      const std::string& key = group.front().query.sweep_key();
       gather_same_key_locked(key, group);
       if (options_.batch_window_ns > 0) {
         const auto deadline =
@@ -165,7 +161,7 @@ bool ServeEngine::drain_one() {
     support::MutexLock lock(mutex_);
     if (queue_.empty()) return false;
     group.splice(group.end(), queue_, queue_.begin());
-    gather_same_key_locked(group.front().key, group);
+    gather_same_key_locked(group.front().query.sweep_key(), group);
     queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
   }
   run_group(std::move(group));
@@ -175,37 +171,45 @@ bool ServeEngine::drain_one() {
 void ServeEngine::run_group(std::list<Pending> group) {
   if (group.empty()) return;
   const std::size_t batch_size = group.size();
-  std::vector<core::SessionQuery> queries;
-  queries.reserve(batch_size);
-  for (const Pending& p : group) queries.push_back(p.query);
+  // Nothing reads the group's queries after this move.
+  std::vector<core::AdmittedQuery> batch;
+  batch.reserve(batch_size);
+  for (Pending& p : group) batch.push_back(std::move(p.query));
 
   const std::int64_t exec_t0 = steady_now_ns();
   std::vector<core::MomentResult> results;
   std::vector<core::QueryRecord> records;
   std::exception_ptr error;
   try {
-    results = session_->query_batch(queries, &records);
+    results = session_->answer(batch, &records);
   } catch (...) {
     error = std::current_exception();
   }
   const std::int64_t done = steady_now_ns();
 
-  // Account the batch BEFORE delivering: the moment set_value runs a client's
-  // .get() returns, and stats() must already show that query as
-  // completed/failed. Only the callback-throw tally — unknowable until the
-  // callbacks actually run — is folded in afterwards.
+  // Account a future's query BEFORE delivering it: the moment set_value
+  // runs, a client's .get() returns, and stats() must already show that
+  // query. A callback's outcome is unknowable until it returns, so a
+  // callback query is counted right after its own callback returns, as
+  // completed or (batch error, or the callback threw) failed — never both.
+  std::uint64_t futures = 0;
+  for (const Pending& p : group)
+    if (!p.use_callback) ++futures;
   batch_metric().add(1, static_cast<std::int64_t>(batch_size));
   {
     support::MutexLock lock(mutex_);
     ++counters_.batches;
     counters_.largest_batch = std::max(counters_.largest_batch, batch_size);
     if (error)
-      counters_.failed += batch_size;
+      counters_.failed += futures;
     else
-      counters_.completed += batch_size;
+      counters_.completed += futures;
   }
+  const auto settle_callback = [this](bool ok) {
+    support::MutexLock lock(mutex_);
+    ++(ok ? counters_.completed : counters_.failed);
+  };
 
-  std::uint64_t callback_throws = 0;
   std::size_t i = 0;
   for (Pending& p : group) {
     if (error) {
@@ -213,8 +217,9 @@ void ServeEngine::run_group(std::list<Pending> group) {
         try {
           p.callback(ServeResult{}, error);
         } catch (...) {
-          ++callback_throws;
+          // The query counts as failed either way.
         }
+        settle_callback(false);
       } else {
         p.promise.set_exception(error);
       }
@@ -227,21 +232,18 @@ void ServeEngine::run_group(std::list<Pending> group) {
       sr.batch_size = batch_size;
       queue_wait_metric().add(1, sr.queue_ns);
       if (p.use_callback) {
+        bool ok = true;
         try {
           p.callback(std::move(sr), nullptr);
         } catch (...) {
-          ++callback_throws;
+          ok = false;
         }
+        settle_callback(ok);
       } else {
         p.promise.set_value(std::move(sr));
       }
     }
     ++i;
-  }
-
-  if (callback_throws > 0) {
-    support::MutexLock lock(mutex_);
-    counters_.failed += callback_throws;
   }
 
   // Worker tick: resample the memory gauges so a long hit-only serving run

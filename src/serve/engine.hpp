@@ -9,20 +9,21 @@
 // the SweepCache's coalescing, AFTER each has resolved its own sweep. The
 // ServeEngine closes that gap at the front door:
 //
-//  * Admission control — submit() validates the query synchronously
-//    (std::invalid_argument, exactly query()'s checks) and then either
-//    accepts it into a bounded queue or rejects it with a typed
-//    RejectedError. It NEVER blocks the client on a full queue;
-//    backpressure is the caller's policy, not a hidden stall.
-//  * Key-grouped batching — queued queries are grouped by their sweep-cache
-//    key (SolveSession::sweep_key — the content-hash base_key plus the
-//    weights hash), i.e. BEFORE any sweep runs. A group leader lingers up
-//    to a short batching window for same-key stragglers, then executes the
-//    whole group as one SolveSession::query_batch, which also shares the
-//    per-(time, order) finalize work between pi-only-differing queries.
-//    Same-key groups that land on different workers still coalesce at the
-//    SweepCache, so splitting is a throughput wrinkle, never a correctness
-//    one — results stay bit-identical to a synchronous query_batch.
+//  * Admission control — submit() admits the query synchronously
+//    (SolveSession::admit: std::invalid_argument on exactly query()'s
+//    checks, plus the sweep key) and then either accepts it into a bounded
+//    queue or rejects it with a typed RejectedError. It NEVER blocks the
+//    client on a full queue; backpressure is the caller's policy, not a
+//    hidden stall.
+//  * Key-grouped batching — queued queries are grouped by their admitted
+//    sweep-cache key (SolveSession::sweep_key — the content-hash base_key
+//    plus the weights hash), i.e. BEFORE any sweep runs. A group leader
+//    lingers up to a short batching window for same-key stragglers, then
+//    moves the admitted queries into one SolveSession::answer call, which
+//    neither validates nor hashes again. Same-key groups that land on
+//    different workers still coalesce at the SweepCache, so splitting is a
+//    throughput wrinkle, never a correctness one — results stay
+//    bit-identical to a synchronous query_batch.
 //  * Streaming results — each submit() returns a std::future (or feeds a
 //    callback) carrying the MomentResult, the session's QueryRecord
 //    attribution for this query, and the engine-side queue/total timings.
@@ -86,7 +87,7 @@ struct ServeEngineOptions {
   /// executing, in nanoseconds. 0 = execute immediately with whatever is
   /// already queued. Stopping flushes early.
   std::int64_t batch_window_ns = 200'000;
-  /// Largest group executed as one query_batch.
+  /// Largest group executed as one SolveSession::answer call.
   std::size_t max_batch = 256;
   /// Sweep-cache snapshot file: loaded on construction (missing file =
   /// cold start), written by save_snapshot(). Empty = no persistence.
@@ -109,8 +110,13 @@ struct ServeEngineStats {
   std::uint64_t submitted = 0;            ///< accepted into the queue
   std::uint64_t rejected_queue_full = 0;  ///< refused: queue at max_queue
   std::uint64_t rejected_stopped = 0;     ///< refused: engine stopping
+  /// Every accepted query ends as exactly one of completed or failed, so
+  /// once the queue drains completed + failed == submitted. A future's
+  /// query is counted before its future becomes ready; a callback query
+  /// once its callback has returned.
   std::uint64_t completed = 0;            ///< results delivered
-  std::uint64_t failed = 0;               ///< completions with an exception
+  /// Completions with an exception, or whose callback threw.
+  std::uint64_t failed = 0;
   std::uint64_t batches = 0;              ///< groups executed
   std::size_t largest_batch = 0;          ///< biggest group so far
   std::size_t queue_depth = 0;            ///< pending right now
@@ -138,10 +144,10 @@ class ServeEngine {
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Validates @p query (throws std::invalid_argument like
+  /// Admits @p query (throws std::invalid_argument like
   /// SolveSession::query) and enqueues it. Throws RejectedError when the
   /// queue is full or the engine is stopping — never blocks. The future
-  /// carries the result or the query_batch exception.
+  /// carries the result or the SolveSession::answer exception.
   std::future<ServeResult> submit(core::SessionQuery query)
       SOMRM_EXCLUDES(mutex_);
 
@@ -175,8 +181,9 @@ class ServeEngine {
  private:
   /// One accepted query waiting for (or riding in) a group.
   struct Pending {
-    core::SessionQuery query;
-    std::string key;  ///< SolveSession::sweep_key — the grouping identity
+    explicit Pending(core::AdmittedQuery q) : query(std::move(q)) {}
+
+    core::AdmittedQuery query;  ///< its sweep_key() is the grouping identity
     std::int64_t enqueue_ns = 0;
     bool use_callback = false;
     std::promise<ServeResult> promise;
@@ -190,7 +197,8 @@ class ServeEngine {
   void gather_same_key_locked(const std::string& key,
                               std::list<Pending>& group)
       SOMRM_REQUIRES(mutex_);
-  /// Executes one group via query_batch and delivers every completion.
+  /// Executes one group via SolveSession::answer and delivers every
+  /// completion.
   void run_group(std::list<Pending> group) SOMRM_EXCLUDES(mutex_);
 
   std::shared_ptr<const core::SolveSession> session_;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "linalg/panel.hpp"
+#include "support/word_hash.hpp"
 
 namespace somrm::serve {
 
@@ -15,13 +16,12 @@ namespace {
 constexpr char kMagic[8] = {'S', 'O', 'M', 'R', 'M', 'S', 'W', 'P'};
 constexpr std::uint32_t kEndianProbe = 0x01020304u;
 
-std::uint64_t fnv1a64(const char* data, std::size_t bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
+/// The trailing checksum: the 128-bit WordHash digest of every byte
+/// before it.
+support::WordHash::Digest checksum(const char* data, std::size_t bytes) {
+  support::WordHash h;
+  h.bytes(data, bytes);
+  return h.digest();
 }
 
 /// Append-only byte sink. Integers and doubles go in by memcpy of their
@@ -210,13 +210,10 @@ void write_sweep(Writer& w, const core::RetainedSweep& sw) {
   w.f64(sw.q);
   w.f64(sw.d);
   w.f64(sw.shift);
-  w.f64(sw.prefactor);
-  w.u8(sw.terminal_weighted ? 1 : 0);
-  w.u8(sw.degenerate ? 1 : 0);
   w.sizes(sw.truncation_points);
   w.doubles(sw.error_bounds);
-  w.u64(sw.acc.size());
-  for (const linalg::Panel& p : sw.acc) {
+  w.u64(sw.moments.size());
+  for (const linalg::Panel& p : sw.moments) {
     w.u64(p.rows());
     w.u64(p.width());
     w.doubles(p.span());
@@ -233,13 +230,10 @@ core::RetainedSweep read_sweep(Reader& r) {
   sw.q = r.f64();
   sw.d = r.f64();
   sw.shift = r.f64();
-  sw.prefactor = r.f64();
-  sw.terminal_weighted = r.u8() != 0;
-  sw.degenerate = r.u8() != 0;
   sw.truncation_points = r.sizes();
   sw.error_bounds = r.doubles();
   const std::uint64_t panels = r.len(r.u64(), 1);
-  sw.acc.reserve(static_cast<std::size_t>(panels));
+  sw.moments.reserve(static_cast<std::size_t>(panels));
   for (std::uint64_t i = 0; i < panels; ++i) {
     const std::uint64_t rows = r.u64();
     const std::uint64_t width = r.len(r.u64(), 1);
@@ -248,7 +242,7 @@ core::RetainedSweep read_sweep(Reader& r) {
     linalg::Panel p(static_cast<std::size_t>(rows),
                     static_cast<std::size_t>(width));
     r.doubles_into(p.span());
-    sw.acc.push_back(std::move(p));
+    sw.moments.push_back(std::move(p));
   }
   sw.stats = read_stats(r);
   return sw;
@@ -271,8 +265,9 @@ std::size_t save_snapshot(const core::SweepCache& cache,
     write_sweep(w, *sweep);
   }
   std::string buf = w.buffer();
-  const std::uint64_t check = fnv1a64(buf.data(), buf.size());
-  buf.append(reinterpret_cast<const char*>(&check), sizeof check);
+  const support::WordHash::Digest check = checksum(buf.data(), buf.size());
+  buf.append(reinterpret_cast<const char*>(&check.hi), sizeof check.hi);
+  buf.append(reinterpret_cast<const char*>(&check.lo), sizeof check.lo);
 
   // JsonWriter idiom: write the whole image to a temp file in the target
   // directory, then rename over the destination so readers only ever see
@@ -313,7 +308,8 @@ std::size_t load_snapshot(core::SweepCache& cache, const std::string& path) {
   if (read_err) throw SnapshotError("read error on '" + path + "'");
 
   constexpr std::size_t kHeaderBytes = sizeof kMagic + 2 * sizeof(std::uint32_t);
-  if (buf.size() < kHeaderBytes + sizeof(std::uint64_t))
+  constexpr std::size_t kChecksumBytes = 2 * sizeof(std::uint64_t);
+  if (buf.size() < kHeaderBytes + kChecksumBytes)
     throw SnapshotError("truncated (file smaller than header)");
   if (std::memcmp(buf.data(), kMagic, sizeof kMagic) != 0)
     throw SnapshotError("bad magic (not a somrm sweep snapshot)");
@@ -330,10 +326,13 @@ std::size_t load_snapshot(core::SweepCache& cache, const std::string& path) {
     throw SnapshotError("endianness mismatch (snapshot written on a host "
                         "with different byte order)");
 
-  const std::size_t body_bytes = buf.size() - sizeof(std::uint64_t);
-  std::uint64_t stored_check;
-  std::memcpy(&stored_check, buf.data() + body_bytes, sizeof stored_check);
-  if (fnv1a64(buf.data(), body_bytes) != stored_check)
+  const std::size_t body_bytes = buf.size() - kChecksumBytes;
+  support::WordHash::Digest stored;
+  std::memcpy(&stored.hi, buf.data() + body_bytes, sizeof stored.hi);
+  std::memcpy(&stored.lo, buf.data() + body_bytes + sizeof stored.hi,
+              sizeof stored.lo);
+  const support::WordHash::Digest actual = checksum(buf.data(), body_bytes);
+  if (actual.hi != stored.hi || actual.lo != stored.lo)
     throw SnapshotError("checksum mismatch (truncated or corrupted snapshot)");
 
   Reader r(buf.data() + kHeaderBytes, body_bytes - kHeaderBytes);

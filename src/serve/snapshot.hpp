@@ -5,18 +5,23 @@
 // reload, the first query against a persisted (model, solve key, weights)
 // combination is a cache HIT and runs no sweep at all.
 //
-// Format (version 1, fixed-width little-style host integers, cross-endian
-// loads rejected by the probe word):
+// Format (version 2, fixed-width host-order integers, cross-endian loads
+// rejected by the probe word):
 //
 //   magic    "SOMRMSWP"                         8 bytes
 //   version  u32  kSnapshotFormatVersion
 //   endian   u32  0x01020304 as written by the saving host
 //   count    u64  number of cache entries
 //   entry*   key (u64 length + bytes), then the core::RetainedSweep
-//            payload: times / scalars / flags / truncation_points /
-//            error_bounds / accumulator panels (u64 rows, u64 width,
-//            rows*width doubles) / the sweep-phase SolverStats
-//   check    u64  FNV-1a-64 over every byte before it
+//            payload: times / scalars / truncation_points / error_bounds /
+//            moment panels (u64 rows, u64 width, rows*width doubles) / the
+//            sweep-phase SolverStats
+//   check    2 x u64  support::WordHash digest (hi, lo) of every byte
+//            before it
+//
+// Version 1 held raw Poisson-weighted accumulators under keys hashed by
+// byte-wise FNV-1a; served as moments they would be wrong, so a version-1
+// file is refused like any other version.
 //
 // Every double travels by bit pattern, so the round trip is bit-exact:
 // core::bit_identical(saved, loaded) holds for each entry, and a finalize
@@ -35,9 +40,10 @@
 
 namespace somrm::serve {
 
-/// Current snapshot format version. Bumped on any layout change; a reader
-/// refuses other versions rather than guessing at field offsets.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Current snapshot format version. Bumped on any change to the layout or
+/// to what the payload means; a reader refuses other versions rather than
+/// guessing.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Snapshot save/load failure. The what() string names the reason: "bad
 /// magic", "format version mismatch", "endianness mismatch", "checksum

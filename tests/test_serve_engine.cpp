@@ -105,19 +105,44 @@ std::shared_ptr<const SolveSession> make_session(
       std::move(cache));
 }
 
+/// Served results carry no per_state (a hit is the pi contraction alone);
+/// expect_panels_match_solves checks the panels once per sweep.
 void expect_results_equal(const MomentResult& got, const MomentResult& want) {
   ASSERT_EQ(got.weighted.size(), want.weighted.size());
   for (std::size_t j = 0; j < got.weighted.size(); ++j)
     EXPECT_EQ(got.weighted[j], want.weighted[j]) << "moment " << j;
-  ASSERT_EQ(got.per_state.size(), want.per_state.size());
-  for (std::size_t j = 0; j < got.per_state.size(); ++j) {
-    ASSERT_EQ(got.per_state[j].size(), want.per_state[j].size());
-    for (std::size_t i = 0; i < got.per_state[j].size(); ++i)
-      EXPECT_EQ(got.per_state[j][i], want.per_state[j][i])
-          << "moment " << j << " state " << i;
-  }
+  EXPECT_TRUE(got.per_state.empty());
   EXPECT_EQ(got.truncation_point, want.truncation_point);
   EXPECT_EQ(got.error_bound, want.error_bound);
+}
+
+/// Each cached sweep's per-state panels (finalize_from_sweep at the session
+/// max) equal solve_multi's, or solve_terminal_weighted's for the weighted
+/// sweep of @p weights, bit for bit.
+void expect_panels_match_solves(const SolveSession& session,
+                                const Vec& weights) {
+  const core::RandomizationMomentSolver solver(session.model());
+  const auto& times = session.times();
+  const auto& opts = session.options();
+  const auto plain = solver.solve_multi(times, opts);
+  for (const auto& [key, sweep] : session.cache()->entries_snapshot()) {
+    const bool weighted = key == session.sweep_key(weights);
+    if (!weighted) {
+      ASSERT_EQ(key, session.sweep_key({}));
+    }
+    for (std::size_t ti = 0; ti < times.size(); ++ti) {
+      const MomentResult want =
+          weighted ? solver.solve_terminal_weighted(times[ti], weights, opts)
+                   : plain[ti];
+      const MomentResult got = core::finalize_from_sweep(
+          *sweep, ti, session.model().initial(), opts.max_moment);
+      ASSERT_EQ(got.per_state.size(), want.per_state.size());
+      for (std::size_t j = 0; j < want.per_state.size(); ++j)
+        EXPECT_EQ(got.per_state[j], want.per_state[j])
+            << (weighted ? "weighted" : "plain") << " t index " << ti
+            << " moment " << j;
+    }
+  }
 }
 
 std::string temp_path(const std::string& name) {
@@ -240,6 +265,7 @@ TEST(ServeEngineManualTest, DrainOneGroupsBySweepKeyAcrossQueueOrder) {
   expect_results_equal(rp_b.result, session->query(plain_b));
   expect_results_equal(rw_a.result, session->query(weighted_a));
   expect_results_equal(rw_b.result, session->query(weighted_b));
+  expect_panels_match_solves(*session, weighted_a.terminal_weights);
 }
 
 TEST(ServeEngineManualTest, MaxBatchBoundsGroupSize) {
@@ -279,6 +305,54 @@ TEST(ServeEngineManualTest, CallbackFlavourDeliversResultAndRecord) {
   EXPECT_FALSE(r.record.sweep_key.empty());
   EXPECT_GE(r.total_ns, r.queue_ns);
   EXPECT_EQ(engine.stats().completed, 1u);
+}
+
+TEST(ServeEngineManualTest, ThrowingCallbackCountsOnceAsFailed) {
+  ServeEngineOptions opts;
+  opts.num_workers = 0;
+  ServeEngine engine(make_session(12, std::make_shared<SweepCache>()), opts);
+
+  std::atomic<int> calls{0};
+  engine.submit(SessionQuery{}, [&](ServeResult&&, std::exception_ptr) {
+    ++calls;
+    throw std::runtime_error("client bug");
+  });
+  engine.submit(SessionQuery{}, [&](ServeResult&&, std::exception_ptr error) {
+    ++calls;
+    EXPECT_EQ(error, nullptr);
+  });
+  auto fut = engine.submit(SessionQuery{});
+  ASSERT_TRUE(engine.drain_one());
+  fut.get();
+
+  EXPECT_EQ(calls.load(), 2);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.completed + stats.failed, stats.submitted);
+}
+
+TEST(ServeEngineManualTest, CallbackQueryCountedOnceItsCallbackReturns) {
+  ServeEngineOptions opts;
+  opts.num_workers = 0;
+  ServeEngine engine(make_session(12, std::make_shared<SweepCache>()), opts);
+
+  // Three callbacks in one group: each sees every earlier callback of the
+  // group already settled, not the whole group still pending.
+  std::vector<std::uint64_t> seen;
+  for (int k = 0; k < 3; ++k)
+    engine.submit(SessionQuery{}, [&](ServeResult&&, std::exception_ptr) {
+      const auto s = engine.stats();
+      seen.push_back(s.completed + s.failed);
+      if (seen.size() == 2) throw std::runtime_error("client bug");
+    });
+  ASSERT_TRUE(engine.drain_one());
+
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 TEST(ServeEngineManualTest, StopDrainsAcceptedWork) {
@@ -545,6 +619,32 @@ TEST_F(SnapshotDefectTest, RejectsFormatVersionMismatch) {
   expect_load_fails_with("format version mismatch");
 }
 
+TEST_F(SnapshotDefectTest, RejectsPreviousFormatVersion) {
+  // A complete, valid version-1 file (an empty cache, with that format's
+  // byte-wise FNV-1a-64 checksum). Version 1 held raw accumulators under
+  // differently hashed keys, so serving from it would be wrong; the reader
+  // must refuse it by version.
+  std::string v1(bytes_.substr(0, 8));  // the magic
+  const auto put = [&v1](const void* p, std::size_t n) {
+    v1.append(static_cast<const char*>(p), n);
+  };
+  const std::uint32_t version = 1;
+  const std::uint32_t probe = 0x01020304u;
+  const std::uint64_t count = 0;
+  put(&version, sizeof version);
+  put(&probe, sizeof probe);
+  put(&count, sizeof count);
+  std::uint64_t fnv = 14695981039346656037ULL;
+  for (const char c : v1) {
+    fnv ^= static_cast<unsigned char>(c);
+    fnv *= 1099511628211ULL;
+  }
+  put(&fnv, sizeof fnv);
+  ASSERT_LT(1u, serve::kSnapshotFormatVersion);
+  rewrite(v1);
+  expect_load_fails_with("format version mismatch");
+}
+
 TEST_F(SnapshotDefectTest, RejectsEndiannessMismatch) {
   std::string bad = bytes_;
   std::swap(bad[12], bad[15]);  // byte-swap the 0x01020304 probe word
@@ -736,11 +836,15 @@ TEST(GaugeResampleTest, EngineWorkerTickResamplesGauges) {
   // values from its last miss).
   obs::gauge("session.cache.bytes").set(-1);
   obs::gauge("mem.peak_rss_bytes").set(-1);
+  obs::gauge("session.sweep.retained_bytes").set(-1);
   auto fut2 = engine.submit(SessionQuery{});
   ASSERT_TRUE(engine.drain_one());
   fut2.get();
   EXPECT_EQ(fut2.valid(), false);
   EXPECT_EQ(obs::gauge("session.cache.bytes").value(),
+            static_cast<std::int64_t>(cache->stats().bytes));
+  // One entry, so the hit's sweep is the whole cache.
+  EXPECT_EQ(obs::gauge("session.sweep.retained_bytes").value(),
             static_cast<std::int64_t>(cache->stats().bytes));
   // Same bound-not-equality check as above: peak RSS may move under the
   // test's feet, but a resampled gauge is positive and never exceeds it.

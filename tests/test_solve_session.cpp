@@ -77,23 +77,55 @@ Vec make_weights(std::size_t n, std::size_t seed) {
 }
 
 /// Exact (bitwise) equality of a session result against the first
-/// `order + 1` entries of an independent solve at the session max.
+/// `order + 1` entries of an independent solve at the session max. Session
+/// results carry no per_state; expect_panels_match_solves checks the
+/// panels once per sweep.
 void expect_bit_identical_prefix(const MomentResult& got,
                                  const MomentResult& want,
                                  std::size_t order) {
   ASSERT_EQ(got.weighted.size(), order + 1);
-  ASSERT_EQ(got.per_state.size(), order + 1);
+  EXPECT_TRUE(got.per_state.empty());
   ASSERT_GE(want.weighted.size(), order + 1);
-  for (std::size_t j = 0; j <= order; ++j) {
+  for (std::size_t j = 0; j <= order; ++j)
     EXPECT_EQ(got.weighted[j], want.weighted[j]) << "moment " << j;
-    ASSERT_EQ(got.per_state[j].size(), want.per_state[j].size());
-    for (std::size_t i = 0; i < got.per_state[j].size(); ++i)
-      EXPECT_EQ(got.per_state[j][i], want.per_state[j][i])
-          << "moment " << j << " state " << i;
-  }
   EXPECT_EQ(got.time, want.time);
   EXPECT_EQ(got.truncation_point, want.truncation_point);
   EXPECT_EQ(got.error_bound, want.error_bound);
+}
+
+/// Every sweep the session cached, checked once: finalize_from_sweep's
+/// per-state panels at every time point equal solve_multi's (plain sweep)
+/// or solve_terminal_weighted's (weighted sweeps, one per vector in
+/// @p weights) bit for bit.
+void expect_panels_match_solves(const SolveSession& session,
+                                const std::vector<Vec>& weights) {
+  const core::RandomizationMomentSolver solver(session.model());
+  const auto& times = session.times();
+  const auto& opts = session.options();
+  const auto entries = session.cache()->entries_snapshot();
+  ASSERT_EQ(entries.size(), weights.size() + 1);
+  for (const auto& [key, sweep] : entries) {
+    const Vec* w = nullptr;
+    for (const Vec& cand : weights)
+      if (key == session.sweep_key(cand)) w = &cand;
+    if (w == nullptr) {
+      ASSERT_EQ(key, session.sweep_key({}));
+    }
+    const std::vector<MomentResult> plain =
+        w ? std::vector<MomentResult>{} : solver.solve_multi(times, opts);
+    for (std::size_t ti = 0; ti < times.size(); ++ti) {
+      const MomentResult want =
+          w ? solver.solve_terminal_weighted(times[ti], *w, opts) : plain[ti];
+      const MomentResult got = core::finalize_from_sweep(
+          *sweep, ti, session.model().initial(), opts.max_moment);
+      SCOPED_TRACE((w ? "weighted sweep, t index " : "plain sweep, t index ") +
+                   std::to_string(ti));
+      ASSERT_EQ(got.per_state.size(), want.per_state.size());
+      for (std::size_t j = 0; j < want.per_state.size(); ++j)
+        EXPECT_EQ(got.per_state[j], want.per_state[j]) << "moment " << j;
+      EXPECT_EQ(got.weighted, want.weighted);
+    }
+  }
 }
 
 struct MixedBatch {
@@ -157,6 +189,8 @@ void run_batch_vs_independent(core::SweepKernel kernel) {
   // 3 distinct weight vectors (none, w1, w2) -> exactly 3 sweeps ran.
   EXPECT_EQ(session.cache_stats().misses, 3u);
   EXPECT_EQ(session.cache_stats().hits, 61u);
+  expect_panels_match_solves(session,
+                             {make_weights(n, 1), make_weights(n, 2)});
 }
 
 class SolveSessionThreadsTest : public ::testing::TestWithParam<std::size_t> {
@@ -342,10 +376,8 @@ TEST(SolveSessionTest, TimeZeroOnGridIsExact) {
   const auto r = session.query(q0);
   EXPECT_EQ(r.time, 0.0);
   EXPECT_EQ(r.weighted[0], 1.0);
-  for (std::size_t j = 1; j <= 3; ++j) {
+  for (std::size_t j = 1; j <= 3; ++j)
     EXPECT_EQ(r.weighted[j], 0.0) << "moment " << j;
-    for (double v : r.per_state[j]) EXPECT_EQ(v, 0.0);
-  }
 
   // And bit-identical to the independent t = 0 solve, weighted included.
   const core::RandomizationMomentSolver solver(model);
@@ -356,6 +388,7 @@ TEST(SolveSessionTest, TimeZeroOnGridIsExact) {
   const auto rw = session.query(qw);
   expect_bit_identical_prefix(
       rw, solver.solve_terminal_weighted(0.0, qw.terminal_weights, opts), 3);
+  expect_panels_match_solves(session, {qw.terminal_weights});
 }
 
 // ---------------------------------------------------------------------------
@@ -553,11 +586,57 @@ TEST(SessionReportTest, QueryResultsBitIdenticalWithMetricsExportEnabled) {
   ASSERT_EQ(plain.weighted.size(), metered.weighted.size());
   for (std::size_t j = 0; j < plain.weighted.size(); ++j)
     EXPECT_EQ(plain.weighted[j], metered.weighted[j]) << "moment " << j;
-  ASSERT_EQ(plain.per_state.size(), metered.per_state.size());
-  for (std::size_t j = 0; j < plain.per_state.size(); ++j)
-    for (std::size_t i = 0; i < plain.per_state[j].size(); ++i)
-      EXPECT_EQ(plain.per_state[j][i], metered.per_state[j][i])
-          << "moment " << j << " state " << i;
+}
+
+// ---------------------------------------------------------------------------
+// Admission: validate and key once, answer without re-checking
+// ---------------------------------------------------------------------------
+
+TEST(AdmittedQueryTest, AnswerMatchesQueryBatchBitForBit) {
+  const std::size_t n = 24;
+  const std::vector<double> times{0.25, 0.6, 1.1};
+  MomentSolverOptions opts;
+  opts.max_moment = 4;
+  const auto batch = make_mixed_batch(n, times.size(), opts.max_moment);
+  const SolveSession session(make_model(n), times, opts,
+                             std::make_shared<SweepCache>());
+
+  std::vector<core::AdmittedQuery> admitted;
+  for (const SessionQuery& q : batch.queries) {
+    admitted.push_back(session.admit(q));
+    EXPECT_EQ(admitted.back().sweep_key(), session.sweep_key(q.terminal_weights));
+    EXPECT_EQ(admitted.back().order(), batch.orders[admitted.size() - 1]);
+  }
+  std::vector<core::QueryRecord> records;
+  const auto answered = session.answer(admitted, &records);
+  const auto direct = session.query_batch(batch.queries);
+  ASSERT_EQ(answered.size(), direct.size());
+  ASSERT_EQ(records.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    expect_bit_identical_prefix(answered[i], direct[i], batch.orders[i]);
+    EXPECT_EQ(records[i].sweep_key, admitted[i].sweep_key());
+  }
+}
+
+TEST(AdmittedQueryTest, AdmitValidatesAndAnswerRefusesForeignAdmissions) {
+  const SolveSession session(make_model(8), {0.5, 1.0}, {},
+                             std::make_shared<SweepCache>());
+  SessionQuery bad;
+  bad.time_index = 2;
+  EXPECT_THROW(session.admit(bad), std::invalid_argument);
+
+  // Same states and grid, different drifts: another model, another key.
+  auto model = make_model(8);
+  Vec drifts = model.drifts();
+  drifts[0] += 1.0;
+  const SolveSession other(
+      core::SecondOrderMrm(model.generator(), drifts, model.variances(),
+                           model.initial()),
+      {0.5, 1.0}, {}, std::make_shared<SweepCache>());
+  const std::vector<core::AdmittedQuery> foreign{other.admit(SessionQuery{})};
+  EXPECT_THROW(session.answer(foreign, nullptr), std::invalid_argument);
+  EXPECT_EQ(session.cache_stats().misses, 0u);
 }
 
 }  // namespace
