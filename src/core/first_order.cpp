@@ -22,14 +22,7 @@ FirstOrderMrm::FirstOrderMrm(ctmc::Generator generator, linalg::Vec rates,
   for (double r : rates_)
     if (!std::isfinite(r))
       throw std::invalid_argument("FirstOrderMrm: non-finite rate");
-  double total = 0.0;
-  for (double p : initial_) {
-    if (p < -1e-12)
-      throw std::invalid_argument("FirstOrderMrm: negative initial probability");
-    total += p;
-  }
-  if (std::abs(total - 1.0) > 1e-9)
-    throw std::invalid_argument("FirstOrderMrm: initial must sum to 1");
+  validate_initial_distribution(initial_, "FirstOrderMrm: ");
 }
 
 SecondOrderMrm FirstOrderMrm::as_second_order() const {

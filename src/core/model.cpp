@@ -2,9 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace somrm::core {
+
+void validate_initial_distribution(std::span<const double> initial,
+                                   std::string_view who) {
+  // Eight independent partial sums and minima instead of one serial add
+  // chain. A NaN or infinite entry makes the total non-finite, so the pass
+  // itself tests nothing per entry; only a failing vector is scanned again
+  // to name its defect.
+  constexpr std::size_t kLanes = 8;
+  double sum[kLanes] = {};
+  double lo[kLanes];
+  std::fill(lo, lo + kLanes, std::numeric_limits<double>::infinity());
+  const std::size_t n = initial.size();
+  const std::size_t body = n - n % kLanes;
+  for (std::size_t i = 0; i < body; i += kLanes)
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      const double p = initial[i + k];
+      sum[k] += p;
+      lo[k] = std::min(lo[k], p);
+    }
+  for (std::size_t i = body; i < n; ++i) {
+    sum[i - body] += initial[i];
+    lo[i - body] = std::min(lo[i - body], initial[i]);
+  }
+  double total = 0.0;
+  for (const double s : sum) total += s;
+  const double smallest = *std::min_element(lo, lo + kLanes);
+
+  const auto fail = [&](const std::string& what) {
+    throw std::invalid_argument(std::string(who) + what);
+  };
+  const auto str = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  if (!std::isfinite(total)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double p = initial[i];
+      if (std::isnan(p))
+        fail("initial probability " + std::to_string(i) + " is NaN");
+      if (std::isinf(p))
+        fail("initial probability " + std::to_string(i) + " is " +
+             (p > 0.0 ? "+inf" : "-inf"));
+    }
+  }
+  if (smallest < -1e-12) {
+    for (std::size_t i = 0; i < n; ++i)
+      if (initial[i] < -1e-12)
+        fail("initial probability " + std::to_string(i) + " is negative (" +
+             str(initial[i]) + ")");
+  }
+  if (!(std::abs(total - 1.0) <= 1e-9))
+    fail("initial distribution must sum to 1 (sums to " + str(total) + ")");
+}
 
 SecondOrderMrm::SecondOrderMrm(ctmc::Generator generator, linalg::Vec drifts,
                                linalg::Vec variances, linalg::Vec initial)
@@ -30,15 +87,7 @@ SecondOrderMrm::SecondOrderMrm(ctmc::Generator generator, linalg::Vec drifts,
           "SecondOrderMrm: variances must be finite and non-negative");
   }
 
-  double total = 0.0;
-  for (double p : initial_) {
-    if (p < -1e-12)
-      throw std::invalid_argument(
-          "SecondOrderMrm: negative initial probability");
-    total += p;
-  }
-  if (std::abs(total - 1.0) > 1e-9)
-    throw std::invalid_argument("SecondOrderMrm: initial must sum to 1");
+  validate_initial_distribution(initial_, "SecondOrderMrm: ");
 }
 
 bool SecondOrderMrm::is_first_order() const {

@@ -14,11 +14,20 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <string_view>
 
 #include "ctmc/generator.hpp"
 #include "linalg/vec.hpp"
 
 namespace somrm::core {
+
+/// Checks that @p initial is a probability vector: every entry finite and
+/// non-negative (down to -1e-12), the total 1 within 1e-9. Throws
+/// std::invalid_argument naming the defect — which entry is NaN, +inf,
+/// -inf or negative, or what the total is — after @p who (e.g.
+/// "SecondOrderMrm: "). The size is the caller's check.
+void validate_initial_distribution(std::span<const double> initial,
+                                   std::string_view who);
 
 class SecondOrderMrm {
  public:

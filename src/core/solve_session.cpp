@@ -56,28 +56,6 @@ std::string solve_key(std::span<const double> times,
   return h.hex();
 }
 
-/// Mirrors SecondOrderMrm's initial-vector validation so a session rejects
-/// exactly what with_initial would, with a session-flavoured message.
-void validate_query_initial(std::span<const double> initial,
-                            std::size_t num_states) {
-  if (initial.size() != num_states)
-    throw std::invalid_argument(
-        "SolveSession: query initial vector size mismatch (got " +
-        std::to_string(initial.size()) + ", model has " +
-        std::to_string(num_states) + " states)");
-  double total = 0.0;
-  for (double p : initial) {
-    if (!std::isfinite(p) || p < -1e-12)
-      throw std::invalid_argument(
-          "SolveSession: query initial probabilities must be finite and "
-          "non-negative");
-    total += p;
-  }
-  if (std::abs(total - 1.0) > 1e-9)
-    throw std::invalid_argument(
-        "SolveSession: query initial distribution must sum to 1");
-}
-
 void validate_query_weights(std::span<const double> weights,
                             std::size_t num_states) {
   if (weights.size() != num_states)
@@ -227,6 +205,11 @@ void SweepCache::evict_locked() {
   }
 }
 
+bool SweepCache::contains(const std::string& key) const {
+  support::MutexLock lock(mutex_);
+  return entries_.contains(key);
+}
+
 SweepCacheStats SweepCache::stats() const {
   support::MutexLock lock(mutex_);
   SweepCacheStats out = counters_;
@@ -320,7 +303,16 @@ void SolveSession::validate_query(const SessionQuery& q) const {
         "SolveSession: query moment order " + std::to_string(order) +
         " exceeds the session max_moment " +
         std::to_string(options_.max_moment));
-  if (!q.initial.empty()) validate_query_initial(q.initial, num_states);
+  if (!q.initial.empty()) {
+    if (q.initial.size() != num_states)
+      throw std::invalid_argument(
+          "SolveSession: query initial vector size mismatch (got " +
+          std::to_string(q.initial.size()) + ", model has " +
+          std::to_string(num_states) + " states)");
+    // The same check with_initial runs, so a session rejects exactly what
+    // a model would.
+    validate_initial_distribution(q.initial, "SolveSession: query ");
+  }
   if (!q.terminal_weights.empty())
     validate_query_weights(q.terminal_weights, num_states);
 }

@@ -32,7 +32,9 @@
 // differing only in pi share entries) plus the serialized solve key. It
 // holds an LRU list under a byte budget and coalesces concurrent misses on
 // the same key: the first caller computes, everyone else blocks on a
-// shared future and receives the same retained sweep. Telemetry:
+// shared future and receives the same retained sweep. (The serving engine
+// keeps its own workers from meeting there; direct concurrent callers
+// still do.) Telemetry:
 // session.cache.{hit,miss,evict,coalesced} counters and a
 // session.query.finalize timer (obs::metric), plus the cache's cumulative
 // totals, read once per batch, in every returned MomentResult's
@@ -109,6 +111,12 @@ class SweepCache {
   EntryPtr get_or_compute(const std::string& key,
                           const std::function<RetainedSweep()>& compute,
                           Outcome* outcome = nullptr) SOMRM_EXCLUDES(mutex_);
+
+  /// True when @p key is resident now (a sweep still in flight is not).
+  /// Read-only: moves no counter and no LRU position. The serving engine
+  /// asks this while holding its own lock, so that lock is always taken
+  /// before this cache's, never after.
+  bool contains(const std::string& key) const SOMRM_EXCLUDES(mutex_);
 
   SweepCacheStats stats() const SOMRM_EXCLUDES(mutex_);
   std::size_t byte_budget() const SOMRM_EXCLUDES(mutex_);
@@ -206,8 +214,9 @@ struct SessionQuery {
   std::size_t time_index = 0;
   /// Highest moment order to return (<= the session's max_moment).
   std::size_t max_moment = kSessionMax;
-  /// Initial distribution pi; empty = the model's own. Validated like
-  /// SecondOrderMrm's (non-negative up to -1e-12, sums to 1 within 1e-9).
+  /// Initial distribution pi; empty = the model's own. Validated by
+  /// validate_initial_distribution, as SecondOrderMrm's is (finite,
+  /// non-negative up to -1e-12, sums to 1 within 1e-9).
   linalg::Vec initial;
   /// Terminal weights w for the solve_terminal_weighted path; empty = the
   /// plain solve. Must be non-negative with max > 0.

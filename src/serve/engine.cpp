@@ -122,22 +122,63 @@ void ServeEngine::gather_same_key_locked(const std::string& key,
   }
 }
 
+std::list<ServeEngine::Pending>::iterator ServeEngine::next_leader_locked() {
+  // No sweep in flight (the all-hit steady state): the oldest query leads,
+  // and nothing is scanned.
+  auto it = queue_.begin();
+  if (sweeping_.empty()) return it;
+  for (; it != queue_.end(); ++it)
+    if (std::find(sweeping_.begin(), sweeping_.end(),
+                  it->query.sweep_key()) == sweeping_.end())
+      break;
+  return it;
+}
+
+void ServeEngine::start_group_locked(std::list<Pending>::iterator leader,
+                                     std::list<Pending>& group,
+                                     SweepMark& mark) {
+  group.splice(group.end(), queue_, leader);
+  // List nodes do not move under splice, so the leader's key stays put.
+  const std::string& key = group.front().query.sweep_key();
+  gather_same_key_locked(key, group);
+  // Engine lock, then cache lock. Checking and marking under one hold of
+  // the engine lock means no other worker can lead this key in between.
+  if (!session_->cache()->contains(key)) {
+    sweeping_.push_back(key);
+    mark.key_ = key;
+  }
+}
+
+void ServeEngine::unmark(const std::string& key) {
+  {
+    support::MutexLock lock(mutex_);
+    sweeping_.erase(std::find(sweeping_.begin(), sweeping_.end(), key));
+  }
+  // The key's queued queries are eligible again; any idle worker may lead.
+  cv_.notify_all();
+}
+
 void ServeEngine::worker_loop() {
   for (;;) {
     std::list<Pending> group;
+    SweepMark mark(*this);
     {
       support::MutexLock lock(mutex_);
-      while (queue_.empty() && !stopping_) cv_.wait(mutex_);
-      if (queue_.empty()) return;  // stopping and fully drained
-      // Leader: take the oldest query, group everything already queued
-      // under its sweep key, then linger up to the batching window for
-      // same-key stragglers. Stopping flushes early; a straggler that
-      // misses the window (or lands on another worker) forms its own
-      // group and coalesces at the SweepCache instead.
-      group.splice(group.end(), queue_, queue_.begin());
-      // List nodes do not move under splice, so the leader's key stays put.
+      // Leader: the oldest query whose key no other group is sweeping.
+      // Queries under a key being swept wait here, queued, for the sweep
+      // to land; while stopping, only an empty queue ends the worker.
+      auto leader = next_leader_locked();
+      while (leader == queue_.end()) {
+        if (stopping_ && queue_.empty()) return;  // fully drained
+        cv_.wait(mutex_);
+        leader = next_leader_locked();
+      }
+      // Group everything already queued under the leader's key, then
+      // linger up to the batching window for same-key stragglers.
+      // Stopping flushes early; a straggler that misses the window forms
+      // its own group.
+      start_group_locked(leader, group, mark);
       const std::string& key = group.front().query.sweep_key();
-      gather_same_key_locked(key, group);
       if (options_.batch_window_ns > 0) {
         const auto deadline =
             std::chrono::steady_clock::now() +
@@ -151,24 +192,28 @@ void ServeEngine::worker_loop() {
       }
       queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
     }
-    run_group(std::move(group));
+    run_group(std::move(group), mark);
   }
 }
 
 bool ServeEngine::drain_one() {
   std::list<Pending> group;
+  SweepMark mark(*this);
   {
     support::MutexLock lock(mutex_);
     if (queue_.empty()) return false;
-    group.splice(group.end(), queue_, queue_.begin());
-    gather_same_key_locked(group.front().query.sweep_key(), group);
+    auto leader = next_leader_locked();
+    // Every queued key is being swept by a running group (drain_one beside
+    // workers): join that sweep at the cache rather than wait for it.
+    if (leader == queue_.end()) leader = queue_.begin();
+    start_group_locked(leader, group, mark);
     queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
   }
-  run_group(std::move(group));
+  run_group(std::move(group), mark);
   return true;
 }
 
-void ServeEngine::run_group(std::list<Pending> group) {
+void ServeEngine::run_group(std::list<Pending> group, SweepMark& mark) {
   if (group.empty()) return;
   const std::size_t batch_size = group.size();
   // Nothing reads the group's queries after this move.
@@ -186,6 +231,8 @@ void ServeEngine::run_group(std::list<Pending> group) {
     error = std::current_exception();
   }
   const std::int64_t done = steady_now_ns();
+  // The sweep has landed (or failed): same-key queries may lead again.
+  mark.release();
 
   // Account a future's query BEFORE delivering it: the moment set_value
   // runs, a client's .get() returns, and stats() must already show that

@@ -20,10 +20,17 @@
 //    plus the weights hash), i.e. BEFORE any sweep runs. A group leader
 //    lingers up to a short batching window for same-key stragglers, then
 //    moves the admitted queries into one SolveSession::answer call, which
-//    neither validates nor hashes again. Same-key groups that land on
-//    different workers still coalesce at the SweepCache, so splitting is a
-//    throughput wrinkle, never a correctness one — results stay
-//    bit-identical to a synchronous query_batch.
+//    neither validates nor hashes again. Results stay bit-identical to a
+//    synchronous query_batch.
+//  * A sweep occupies one worker, never two — a leader whose key is not
+//    resident in the cache (SweepCache::contains, asked under the engine
+//    lock) marks the key "being swept" until its answer call returns.
+//    While a key is marked, workers skip its queued queries when picking a
+//    group; they stay queued in arrival order and run as one hit group once
+//    the sweep lands, so a copy of a missing query never parks a second
+//    worker at the cache while hits wait. Such a query reports a cache hit,
+//    with the wait in its queue_ns. Lock order: the engine mutex, then the
+//    cache's.
 //  * Streaming results — each submit() returns a std::future (or feeds a
 //    callback) carrying the MomentResult, the session's QueryRecord
 //    attribution for this query, and the engine-side queue/total timings.
@@ -190,16 +197,48 @@ class ServeEngine {
     ServeCallback callback;
   };
 
+  /// A key a group marked "being swept". Unmarks it on release() or
+  /// destruction, whichever comes first, so every exit from the group —
+  /// a throwing answer call included — releases the mark.
+  class SweepMark {
+   public:
+    explicit SweepMark(ServeEngine& engine) : engine_(engine) {}
+    ~SweepMark() { release(); }
+    SweepMark(const SweepMark&) = delete;
+    SweepMark& operator=(const SweepMark&) = delete;
+
+    void release() {
+      if (key_.empty()) return;
+      engine_.unmark(key_);
+      key_.clear();
+    }
+
+    std::string key_;  ///< empty = nothing marked
+   private:
+    ServeEngine& engine_;
+  };
+
   void enqueue(Pending&& p) SOMRM_EXCLUDES(mutex_);
   void worker_loop() SOMRM_EXCLUDES(mutex_);
+  /// The oldest queued query whose key no group is sweeping, or end().
+  std::list<Pending>::iterator next_leader_locked() SOMRM_REQUIRES(mutex_);
+  /// Moves @p leader and every queued query under its key (up to
+  /// max_batch) onto @p group; marks the key in @p mark when the cache
+  /// does not hold it.
+  void start_group_locked(std::list<Pending>::iterator leader,
+                          std::list<Pending>& group, SweepMark& mark)
+      SOMRM_REQUIRES(mutex_);
   /// Splices queued entries matching @p key onto @p group (up to
   /// max_batch). Caller holds mutex_.
   void gather_same_key_locked(const std::string& key,
                               std::list<Pending>& group)
       SOMRM_REQUIRES(mutex_);
-  /// Executes one group via SolveSession::answer and delivers every
-  /// completion.
-  void run_group(std::list<Pending> group) SOMRM_EXCLUDES(mutex_);
+  /// Drops one mark of @p key and wakes the workers.
+  void unmark(const std::string& key) SOMRM_EXCLUDES(mutex_);
+  /// Executes one group via SolveSession::answer, releases @p mark once
+  /// that returns, and delivers every completion.
+  void run_group(std::list<Pending> group, SweepMark& mark)
+      SOMRM_EXCLUDES(mutex_);
 
   std::shared_ptr<const core::SolveSession> session_;
   ServeEngineOptions options_;
@@ -207,6 +246,8 @@ class ServeEngine {
   mutable support::Mutex mutex_;
   support::CondVar cv_;
   std::list<Pending> queue_ SOMRM_GUARDED_BY(mutex_);
+  /// Keys whose sweep a running group is computing, one entry per mark.
+  std::vector<std::string> sweeping_ SOMRM_GUARDED_BY(mutex_);
   bool stopping_ SOMRM_GUARDED_BY(mutex_) = false;
   ServeEngineStats counters_ SOMRM_GUARDED_BY(mutex_);
 

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace somrm::core {
@@ -29,6 +32,22 @@ TEST(FirstOrderTest, ValidationMirrorsSecondOrder) {
                std::invalid_argument);
   EXPECT_THROW(FirstOrderMrm(gen, Vec{1.0, 2.0}, Vec{0.6, 0.6}),
                std::invalid_argument);
+  // Non-finite initial entries are named, with this type's prefix.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [init, message] :
+       {std::pair{Vec{nan, 1.0}, "FirstOrderMrm: initial probability 0 is NaN"},
+        std::pair{Vec{0.0, inf},
+                  "FirstOrderMrm: initial probability 1 is +inf"},
+        std::pair{Vec{-inf, 1.0},
+                  "FirstOrderMrm: initial probability 0 is -inf"}}) {
+    try {
+      FirstOrderMrm(gen, Vec{1.0, 2.0}, init);
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
 }
 
 TEST(FirstOrderTest, UniformRatesGiveDeterministicReward) {

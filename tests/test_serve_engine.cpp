@@ -8,10 +8,12 @@
 //    queue into one query_batch, the max_batch cap, stop() draining
 //    accepted work;
 //  * bit-identity under real concurrency — many client threads against a
-//    worker-driven engine with a tiny cache budget (evictions racing
-//    coalesced waiters), every streamed result EXPECT_EQ-equal to an
-//    independent synchronous SolveSession. This is the test the TSan CI
-//    leg runs to hunt data races in the engine;
+//    worker-driven engine with a tiny cache budget (evictions racing the
+//    marking and release of keys being swept), every streamed result
+//    EXPECT_EQ-equal to an independent synchronous SolveSession. This is
+//    the test the TSan CI leg runs to hunt data races in the engine;
+//  * one sweep, one worker — a copy of a missing query waits in the queue
+//    while its sweep runs, so hits pass it on the other worker;
 //  * snapshot round trips — save/load bit-exactness via
 //    core::bit_identical, warm starts that serve a cache HIT before any
 //    sweep, missing-file cold starts, and rejection of corrupted,
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -379,14 +382,16 @@ TEST(ServeEngineManualTest, StopDrainsAcceptedWork) {
 
 // Many client threads against a running engine whose cache budget is too
 // small to hold every sweep — submissions, the batching-window linger,
-// evictions, and coalesced waiters all race. Every result must still be
-// bit-identical to an independent synchronous session. (The CI sanitize
-// matrix runs this under TSan; the assertions also pin correctness in
-// plain builds.)
+// evictions, and the marking and release of keys being swept all race.
+// Two budgets: one retained sweep, where three distinct keys keep evicting
+// each other, and one byte, smaller than any entry, where only the newest
+// sweep stays and nearly every group misses, so keys are marked and
+// released constantly. Every result must still be bit-identical to an
+// independent synchronous session, and every accepted query must end.
+// (The CI sanitize matrix runs this under TSan; the assertions also pin
+// correctness in plain builds.)
 TEST(ServeEngineConcurrencyTest, StressedMixedLoadStaysBitIdentical) {
   const std::size_t n = 16;
-  const auto cache = std::make_shared<SweepCache>();
-  const auto session = make_session(n, cache);
 
   // Reference results from a session the engine never touches.
   const auto ref_session = make_session(n, std::make_shared<SweepCache>());
@@ -401,54 +406,114 @@ TEST(ServeEngineConcurrencyTest, StressedMixedLoadStaysBitIdentical) {
         combos.push_back(std::move(q));
       }
   const std::vector<MomentResult> refs = ref_session->query_batch(combos);
+  const std::size_t one_sweep =
+      ref_session->cache()->entries_snapshot().front().second->byte_size();
 
-  // Budget of one retained sweep: three distinct keys keep evicting each
-  // other while coalesced waiters still hold the shared entries.
-  cache->set_byte_budget(1);
-  const auto budget_probe = session->query(combos[0]);
-  cache->set_byte_budget(session->cache_stats().bytes);
+  for (const std::size_t budget : {one_sweep, std::size_t{1}}) {
+    SCOPED_TRACE("cache budget " + std::to_string(budget) + " bytes");
+    const auto session =
+        make_session(n, std::make_shared<SweepCache>(budget));
+
+    ServeEngineOptions opts;
+    opts.num_workers = 3;
+    opts.batch_window_ns = 50'000;
+    opts.max_queue = 64;
+    ServeEngine engine(session, opts);
+
+    constexpr std::size_t kClients = 4;
+    constexpr std::size_t kPerClient = 40;
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c)
+      clients.emplace_back([&, c] {
+        for (std::size_t i = 0; i < kPerClient; ++i) {
+          const std::size_t combo = (c * kPerClient + i) % combos.size();
+          std::future<ServeResult> fut;
+          for (;;) {
+            try {
+              fut = engine.submit(combos[combo]);
+              break;
+            } catch (const RejectedError&) {
+              std::this_thread::yield();
+            }
+          }
+          const ServeResult r = fut.get();
+          if (r.result.weighted != refs[combo].weighted ||
+              r.result.truncation_point != refs[combo].truncation_point ||
+              r.result.error_bound != refs[combo].error_bound)
+            mismatches.fetch_add(1);
+          if (r.total_ns < r.queue_ns) mismatches.fetch_add(1);
+        }
+      });
+    for (std::thread& t : clients) t.join();
+    engine.stop();
+
+    EXPECT_EQ(mismatches.load(), 0u);
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.submitted, kClients * kPerClient);
+    EXPECT_EQ(stats.completed + stats.failed, stats.submitted);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_GT(session->cache_stats().evictions, 0u);
+  }
+}
+
+// A sweep occupies one worker, never two. Worker A sweeps M1's fresh
+// weights; M2, a copy of M1, arrives mid-sweep and must wait in the queue
+// rather than park worker B at the cache, so a hit H sent after it is
+// served by B while the sweep still runs. Calling stop() mid-sweep, with
+// M2 still queued, must drain both.
+TEST(ServeEngineConcurrencyTest, SweepOccupiesOneWorkerWhileHitsPass) {
+  // A long horizon on 20,000 states: one sweep takes tens of milliseconds,
+  // far over 50 hits (a few microseconds each).
+  const std::size_t n = 20'000;
+  const std::vector<double> times{40.0};
+  MomentSolverOptions mopts;
+  mopts.max_moment = 3;
+  mopts.epsilon = 1e-9;
+  const core::SecondOrderMrm model = make_model(n);
+  const auto session = std::make_shared<const SolveSession>(
+      model, times, mopts, std::make_shared<SweepCache>());
+  // The plain key is resident before serving starts, without a miss on
+  // the engine's cache.
+  const SolveSession warm(model, times, mopts, std::make_shared<SweepCache>());
+  const MomentResult h_ref = warm.query(SessionQuery{});
+  for (const auto& [key, sweep] : warm.cache()->entries_snapshot())
+    ASSERT_TRUE(session->cache()->insert(key, sweep));
 
   ServeEngineOptions opts;
-  opts.num_workers = 3;
-  opts.batch_window_ns = 50'000;
-  opts.max_queue = 64;
+  opts.num_workers = 2;
   ServeEngine engine(session, opts);
 
-  constexpr std::size_t kClients = 4;
-  constexpr std::size_t kPerClient = 40;
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> clients;
-  for (std::size_t c = 0; c < kClients; ++c)
-    clients.emplace_back([&, c] {
-      for (std::size_t i = 0; i < kPerClient; ++i) {
-        const std::size_t combo = (c * kPerClient + i) % combos.size();
-        std::future<ServeResult> fut;
-        for (;;) {
-          try {
-            fut = engine.submit(combos[combo]);
-            break;
-          } catch (const RejectedError&) {
-            std::this_thread::yield();
-          }
-        }
-        const ServeResult r = fut.get();
-        if (r.result.weighted != refs[combo].weighted ||
-            r.result.truncation_point != refs[combo].truncation_point ||
-            r.result.error_bound != refs[combo].error_bound)
-          mismatches.fetch_add(1);
-        if (r.total_ns < r.queue_ns) mismatches.fetch_add(1);
-      }
-    });
-  for (std::thread& t : clients) t.join();
-  engine.stop();
+  SessionQuery m;
+  m.initial = make_pi(n, 3);
+  m.terminal_weights = make_weights(n, 1);
+  auto m1 = engine.submit(m);
+  while (session->cache_stats().misses < 1) std::this_thread::yield();
+  auto m2 = engine.submit(m);
+  auto h = engine.submit(SessionQuery{});
 
-  EXPECT_EQ(mismatches.load(), 0u);
+  // H completes before M1: the second worker was free for it.
+  const ServeResult hr = h.get();
+  EXPECT_EQ(m1.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(engine.stats().queue_depth, 1u);  // M2 waits for M1's sweep
+  expect_results_equal(hr.result, h_ref);
+
+  engine.stop();  // while M1 sweeps and M2 is queued
+  const ServeResult r1 = m1.get();
+  const ServeResult r2 = m2.get();
+  EXPECT_EQ(r2.result.weighted, r1.result.weighted);
+  EXPECT_EQ(r2.result.error_bound, r1.result.error_bound);
+  EXPECT_EQ(r1.record.cache_outcome, SweepCache::Outcome::kMiss);
+  // M2 waited in the queue for the sweep, then hit.
+  EXPECT_EQ(r2.record.cache_outcome, SweepCache::Outcome::kHit);
+  const auto cs = session->cache_stats();
+  EXPECT_EQ(cs.misses, 1u);
+  EXPECT_EQ(cs.coalesced, 0u);
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.submitted, kClients * kPerClient);
-  EXPECT_EQ(stats.completed, kClients * kPerClient);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_GT(session->cache_stats().evictions, 0u);
-  (void)budget_probe;
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed + stats.failed, stats.submitted);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST(ServeEngineConcurrencyTest, TinyQueueRetriesEventuallyComplete) {

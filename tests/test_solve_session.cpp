@@ -16,9 +16,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/randomization.hpp"
@@ -421,6 +423,26 @@ TEST(SolveSessionTest, RejectsInvalidQueries) {
   SessionQuery bad_pi_sum;
   bad_pi_sum.initial = Vec(8, 0.25);  // sums to 2
   EXPECT_THROW(session.query(bad_pi_sum), std::invalid_argument);
+
+  // Non-finite entries are named, with the session's prefix.
+  for (const auto& [value, message] :
+       {std::pair{std::numeric_limits<double>::quiet_NaN(),
+                  "SolveSession: query initial probability 3 is NaN"},
+        std::pair{std::numeric_limits<double>::infinity(),
+                  "SolveSession: query initial probability 3 is +inf"},
+        std::pair{-std::numeric_limits<double>::infinity(),
+                  "SolveSession: query initial probability 3 is -inf"}}) {
+    SessionQuery bad_pi;
+    bad_pi.initial = Vec(8, 0.125);
+    bad_pi.initial[3] = value;
+    try {
+      session.query(bad_pi);
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+    EXPECT_THROW(session.admit(bad_pi), std::invalid_argument);
+  }
 
   SessionQuery bad_w_negative;
   bad_w_negative.terminal_weights = Vec(8, 1.0);
