@@ -25,8 +25,6 @@
 #include "core/randomization.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/parallel.hpp"
-#include "linalg/sellcs.hpp"
-#include "linalg/simd.hpp"
 #include "models/birth_death.hpp"
 
 namespace {
@@ -152,83 +150,6 @@ void BM_SolveVsThreads(benchmark::State& state) {
   state.counters["states"] = static_cast<double>(states);
 }
 
-// CSR x panel row-kernel throughput per SIMD dispatch level, isolated from
-// the solver (no truncation search, no Poisson windows — just
-// multiply_panel on a birth-death-shaped matrix). Registered dynamically in
-// main() once per level the build compiled in AND the host supports, so a
-// portable build shows scalar only while -DSOMRM_NATIVE=ON on an AVX-512
-// host shows all three. All levels produce bit-identical panels
-// (test_simd_panel); this benchmark shows what that contract costs.
-void BM_PanelRowsSimd(benchmark::State& state, linalg::simd::Level level) {
-  const std::size_t states = 40000, width = 5;
-  const auto model = make_chain(states, 1.0);
-  const linalg::CsrMatrix& a = model.generator().matrix();
-  linalg::Panel x(a.cols(), width), y(a.rows(), width);
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < width; ++j)
-      x(i, j) = 1.0 + 1.0 / static_cast<double>(i + j + 1);
-  linalg::set_num_threads(1);
-  linalg::simd::set_level(level);
-  for (auto _ : state) {
-    a.multiply_panel(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  linalg::simd::set_level(linalg::simd::highest_supported());
-  linalg::set_num_threads(0);
-  state.counters["states"] = static_cast<double>(states);
-  state.counters["threads"] = 1.0;
-  // 2 flops (mul + add) per stored entry per panel column, per iteration.
-  state.counters["gflops"] = benchmark::Counter(
-      2.0 * static_cast<double>(a.nnz()) * static_cast<double>(width),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::OneK::kIs1000);
-}
-
-// SELL-C-σ x panel row-kernel throughput per SIMD dispatch level: the same
-// matrix, panel, and flop count as BM_PanelRowsSimd, streamed from the
-// sliced-ELLPACK layout instead of CSR. The bench asserts the output panel
-// is bit-identical to the CSR product before timing — the storage contract
-// in miniature. (A birth-death chain is near-uniform in row length, so the
-// padding ratio is tiny; the interesting comparison is streaming cost.)
-void BM_PanelRowsSellCs(benchmark::State& state, linalg::simd::Level level) {
-  const std::size_t states = 40000, width = 5;
-  const auto model = make_chain(states, 1.0);
-  const linalg::CsrMatrix& a = model.generator().matrix();
-  const auto sell = linalg::SellCsMatrix::from_csr(a);
-  linalg::Panel x(a.cols(), width), y(a.rows(), width);
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < width; ++j)
-      x(i, j) = 1.0 + 1.0 / static_cast<double>(i + j + 1);
-  linalg::set_num_threads(1);
-  linalg::simd::set_level(level);
-  linalg::Panel y_csr(a.rows(), width);
-  a.multiply_panel(x, y_csr);
-  sell.multiply_panel(x, y);
-  for (std::size_t i = 0; i < y.rows(); ++i)
-    for (std::size_t j = 0; j < width; ++j)
-      if (y(i, j) != y_csr(i, j)) {
-        state.SkipWithError("SELL-C-s panel diverged from CSR");
-        linalg::simd::set_level(linalg::simd::highest_supported());
-        linalg::set_num_threads(0);
-        return;
-      }
-  for (auto _ : state) {
-    sell.multiply_panel(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  linalg::simd::set_level(linalg::simd::highest_supported());
-  linalg::set_num_threads(0);
-  state.counters["states"] = static_cast<double>(states);
-  state.counters["threads"] = 1.0;
-  state.counters["padding"] = sell.padding_ratio();
-  // 2 flops (mul + add) per STORED entry per panel column — padding lanes
-  // are never touched, so the flop count matches CSR exactly.
-  state.counters["gflops"] = benchmark::Counter(
-      2.0 * static_cast<double>(a.nnz()) * static_cast<double>(width),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::OneK::kIs1000);
-}
-
 // Panel (multi-vector SpMM) sweep kernel vs the pre-panel fused kernel that
 // re-streams the CSR structure once per moment order, single-threaded so
 // the ratio isolates the memory-traffic win. Args: (states, max_moment).
@@ -350,23 +271,6 @@ int main(int argc, char** argv) {
           ->Args({static_cast<std::int64_t>(t), static_cast<std::int64_t>(n)})
           ->Unit(benchmark::kMillisecond)
           ->UseRealTime();
-  for (int lvl = 0; lvl <= static_cast<int>(somrm::linalg::simd::highest_supported());
-       ++lvl) {
-    const auto level = static_cast<somrm::linalg::simd::Level>(lvl);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_PanelRowsSimd/") +
-         somrm::linalg::simd::level_name(level))
-            .c_str(),
-        BM_PanelRowsSimd, level)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_PanelRowsSellCs/") +
-         somrm::linalg::simd::level_name(level))
-            .c_str(),
-        BM_PanelRowsSellCs, level)
-        ->Unit(benchmark::kMillisecond);
-  }
-
   somrm::bench::JsonWriter writer(
       !json_append_path.empty() ? json_append_path : json_path,
       /*append=*/!json_append_path.empty());

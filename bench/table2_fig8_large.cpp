@@ -12,16 +12,14 @@
 //
 // Flags: --states N (default 200000), --epsilon, --moments,
 // --kernel panel|legacy|both (sweep kernel selection, default panel),
-// --storage csr|sellcs|both (sparse storage for Q', default csr),
 // --threads t1,t2,... (solver thread counts to sweep; default: the current
-// linalg::num_threads() only). Every (storage, kernel, threads) combination
-// runs the full multi-time solve and emits one BenchRecord, so
-//   table2_fig8_large --states 50000 --storage both --kernel both \
-//       --threads 1,2,4,8,16
-// produces a complete scaling curve in one invocation (the BENCH_PR7.json
-// recipe — see EXPERIMENTS.md). The moment table is printed once, from the
-// first combination: results are bit-identical across storages, kernels and
-// thread counts, which the sweep asserts.
+// linalg::num_threads() only). Every (kernel, threads) combination runs the
+// full multi-time solve and emits one BenchRecord, so
+//   table2_fig8_large --states 50000 --kernel both --threads 1,2,4,8,16
+// produces a complete scaling curve in one invocation (see EXPERIMENTS.md).
+// The moment table is printed once, from the first combination: results
+// are bit-identical across kernels and thread counts, which the sweep
+// asserts.
 // --json <path> writes the machine-readable BenchRecords (--json-append
 // <path> merges into an existing snapshot instead — how the ON/OFF
 // observability pair lands in one BENCH_PR3.json), --stats 1 prints the
@@ -76,20 +74,6 @@ int main(int argc, char** argv) {
                  kernel_flag.c_str());
     return 2;
   }
-  const std::string storage_flag =
-      bench::arg_string(argc, argv, "--storage", "csr");
-  std::vector<std::string> storages;
-  if (storage_flag == "both") {
-    storages = {"csr", "sellcs"};
-  } else if (storage_flag == "csr" || storage_flag == "sellcs") {
-    storages = {storage_flag};
-  } else {
-    std::fprintf(stderr,
-                 "table2_fig8_large: --storage expects csr|sellcs|both, "
-                 "got \"%s\"\n",
-                 storage_flag.c_str());
-    return 2;
-  }
   const std::vector<std::size_t> thread_counts = bench::arg_size_list(
       argc, argv, "--threads", {somrm::linalg::num_threads()});
 
@@ -103,15 +87,12 @@ int main(int argc, char** argv) {
   const core::RandomizationMomentSolver solver(model);
   std::vector<core::MomentResult> reference;  // first combination's results
 
-  for (const std::string& storage : storages)
   for (const std::string& kernel : kernels) {
     core::MomentSolverOptions opts;
     opts.max_moment = n;
     opts.epsilon = eps;
     opts.kernel = kernel == "legacy" ? core::SweepKernel::kFusedVectors
                                      : core::SweepKernel::kPanel;
-    opts.storage = storage == "sellcs" ? core::StorageFormat::kSellCs
-                                       : core::StorageFormat::kCsr;
     for (const std::size_t threads : thread_counts) {
       somrm::linalg::set_num_threads(threads);
 
@@ -138,27 +119,24 @@ int main(int argc, char** argv) {
                     "states x %zu moment vectors (matches the section-6 "
                     "count)\n",
                     m, model.num_states(), n + 1);
-        std::printf("# kernel,simd,storage,threads,wall_s,sweep_s,gflops\n");
+        std::printf("# kernel,threads,wall_s,sweep_s,gflops\n");
       } else {
         // The whole sweep must be bit-identical to the first combination —
-        // that is the panel/SIMD/storage/threading determinism contract.
+        // that is the kernel/threading determinism contract.
         for (std::size_t ti = 0; ti < results.size(); ++ti)
           for (std::size_t j = 0; j <= n; ++j)
             if (results[ti].weighted[j] != reference[ti].weighted[j]) {
               std::fprintf(stderr,
-                           "table2_fig8_large: kernel %s (%s storage) at %zu "
-                           "threads diverged from the first run (t=%g, "
-                           "moment %zu)\n",
-                           kernel.c_str(), storage.c_str(), threads,
-                           results[ti].time, j);
+                           "table2_fig8_large: kernel %s at %zu threads "
+                           "diverged from the first run (t=%g, moment %zu)\n",
+                           kernel.c_str(), threads, results[ti].time, j);
               return 1;
             }
       }
 
       const auto& stats = results.back().stats;
-      std::printf("# %s,%s,%s,%zu,%.4f,%.4f,%.3f\n", kernel.c_str(),
-                  stats.simd.c_str(), stats.storage.c_str(), threads, seconds,
-                  stats.sweep_seconds, stats.effective_gflops);
+      std::printf("# %s,%zu,%.4f,%.4f,%.3f\n", kernel.c_str(), threads,
+                  seconds, stats.sweep_seconds, stats.effective_gflops);
 
       if (bench::arg_size(argc, argv, "--stats", 0) != 0)
         std::printf("%s", obs::report(stats).c_str());

@@ -32,6 +32,12 @@
 //   |error| <= (4 d qt)^n * sum_{k >= G+1-n} Pois(k; qt)   (for G >= 2n),
 //
 // the same Poisson-tail shape as Theorem 4 with prefactor (4 d qt)^n.
+//
+// The solver keeps its own setup (scaling with the enlarged d, the A~_j
+// matrices) and its own truncation rule and error bound. The sweep itself
+// is the plain solver's driver (core/randomization.hpp): the same Poisson
+// windows, kernels, reorder and finalize, with the A~_j convolution added
+// to each step.
 
 #pragma once
 
@@ -61,6 +67,12 @@ class ImpulseMomentSolver {
   /// Generalized Theorem-4 truncation point with the (4 d qt)^n prefactor.
   static std::size_t truncation_point(double qt, std::size_t n, double d,
                                       double epsilon);
+
+  /// The error bound (4 d qt)^n * sum_{k >= g+1-n} Pois(k; qt) achieved at
+  /// truncation point @p g (2 * tail for n == 0; 0 when it underflows).
+  /// Every solve reports it at the chosen G as MomentResult::error_bound.
+  static double error_bound(double qt, std::size_t n, double d,
+                            std::size_t g);
 
   const SecondOrderImpulseMrm& model() const { return model_; }
 

@@ -8,11 +8,10 @@
 #include "core/invariants.hpp"
 #include "core/moment_utils.hpp"
 #include "core/solver_telemetry.hpp"
+#include "core/sweep.hpp"
 #include "linalg/panel.hpp"
 #include "linalg/parallel.hpp"
 #include "linalg/reorder.hpp"
-#include "linalg/sellcs.hpp"
-#include "linalg/simd.hpp"
 #include "obs/trace.hpp"
 #include "prob/normal.hpp"
 #include "prob/poisson.hpp"
@@ -44,29 +43,17 @@ struct ActiveWeight {
   double w;
 };
 
-/// Composes two row-permutation stages applied in sequence. @p first maps
-/// first-stage rows to model rows (first[new] = old, the linalg/reorder
-/// convention) and @p second maps second-stage rows to first-stage rows;
-/// the result maps second-stage rows straight to model rows, so ONE
-/// unpermute_panel_rows at sweep end undoes both stages.
-std::vector<std::size_t> compose_permutations(
-    std::span<const std::size_t> first, std::span<const std::size_t> second) {
-  std::vector<std::size_t> out(second.size());
-  for (std::size_t i = 0; i < second.size(); ++i) out[i] = first[second[i]];
-  return out;
-}
-
 /// Minimum rows per parallel range for the fused kernels. Each row costs
 /// (nnz_row + 4) * n_moments flops, so ranges of ~1k rows amortize the pool
 /// hand-off while still splitting four ways at 10k states.
 constexpr std::size_t kFusedGrain = 1024;
 
 /// Rows per cache block inside a panel-step row range. The SpMM write, the
-/// R'/½S' diagonal update, and the Poisson-weighted accumulation all touch
-/// the same u_next slab; running them block-by-block keeps that slab
-/// (kPanelBlockRows * width doubles — 64 KiB at width 8) resident in L1/L2
-/// across all three stages instead of streaming the full panel from DRAM
-/// three times per step. Pure traffic optimization: per element the
+/// R'/½S' diagonal update, the impulse convolution and the Poisson-weighted
+/// accumulation all touch the same u_next slab; running them block-by-block
+/// keeps that slab (kPanelBlockRows * width doubles — 64 KiB at width 8)
+/// resident in L1/L2 across all stages instead of streaming the full panel
+/// from DRAM once per stage. Pure traffic optimization: per element the
 /// arithmetic chain is unchanged, so results stay bit-identical.
 constexpr std::size_t kPanelBlockRows = 1024;
 
@@ -76,14 +63,11 @@ constexpr std::size_t kPanelBlockRows = 1024;
 /// u_next, and the Poisson-weighted accumulation into every active acc
 /// panel all happen while the row's W accumulators sit in registers — one
 /// pass over the sparse structure AND one pass over the panels per step.
-/// Templated over the storage format via Matrix::visit_row (CsrMatrix or
-/// linalg::SellCsMatrix), which yields each row's entries in its CSR order.
 /// Per element the arithmetic chain (dot product in entry order, then
 /// + R' u^(j-1), then + ½S' u^(j-2), then acc += w * value) is exactly the
-/// kFusedVectors kernel's, so results are bit-identical to it — for either
-/// storage format.
-template <std::size_t W, std::size_t JLO, class Matrix>
-void panel_step_rows(const Matrix& mat, const ScaledModel& scaled,
+/// kFusedVectors kernel's, so results are bit-identical to it.
+template <std::size_t W, std::size_t JLO>
+void panel_step_rows(const linalg::CsrMatrix& mat, const ScaledModel& scaled,
                      const double* ubase, double* obase,
                      std::span<const ActiveWeight> active,
                      std::span<double* const> acc_base, std::size_t row_begin,
@@ -116,10 +100,10 @@ void panel_step_rows(const Matrix& mat, const ScaledModel& scaled,
   }
 }
 
-template <std::size_t W, class Matrix>
-void panel_step_rows_dispatch_jlo(const Matrix& mat, const ScaledModel& scaled,
-                                  std::size_t j_lo, const double* ubase,
-                                  double* obase,
+template <std::size_t W>
+void panel_step_rows_dispatch_jlo(const linalg::CsrMatrix& mat,
+                                  const ScaledModel& scaled, std::size_t j_lo,
+                                  const double* ubase, double* obase,
                                   std::span<const ActiveWeight> active,
                                   std::span<double* const> acc_base,
                                   std::size_t row_begin, std::size_t row_end) {
@@ -131,37 +115,42 @@ void panel_step_rows_dispatch_jlo(const Matrix& mat, const ScaledModel& scaled,
                           row_begin, row_end);
 }
 
-/// One fused, row-parallel step of the Theorem-3 recursion over the panel
-/// layout: the iterates U^(j_lo..n)(k) live in the contiguous row-major
-/// panel u (u(i, j) = U^(j)(k)_i) and the step computes
+/// One fused, row-parallel step of the recursion over the panel layout:
+/// the iterates U^(j_lo..n)(k) live in the contiguous row-major panel u
+/// (u(i, j) = U^(j)(k)_i) and the step computes
 ///   u_next(i, j) = (Q' u)(i, j) + R'_i u(i, j-1) + 1/2 S'_i u(i, j-2)
+///                  + sum_{l=1..j} (A~_l u)(i, j-l)
 /// with ONE pass over the CSR structure — each matrix entry is loaded once
 /// and multiplied against the n+1-j_lo contiguous doubles of the source row
-/// — folding the R'/½S' diagonal terms and the Poisson-weighted
-/// accumulation acc[ti] += w * u_next into the same per-row pass
-/// (panel_step_rows, dispatched on a compile-time width for n <= 7; wider
-/// panels take a cache-blocked three-stage path over the same arithmetic).
-/// Per element the arithmetic order (kk-ascending dot product, then R',
-/// then ½S', then the weighted accumulation) is exactly the kFusedVectors
-/// kernel's, so results are bit-identical to it at every thread count.
+/// — folding the diagonal terms and the Poisson-weighted accumulation
+/// acc[ti] += w * u_next into the same per-row pass. @p impulse holds the
+/// impulse-moment matrices A~_1..A~_n of core/impulse_randomization.hpp and
+/// is empty for the plain solver.
 ///
-/// j_lo == 1 (solve_multi): column 0 of both panels holds the invariant
-/// all-ones vector h and is never recomputed; the accumulation reads it in
-/// place. j_lo == 0 (solve_terminal_weighted): the seed vector is not
-/// invariant and column 0 is iterated like the rest.
+/// Without impulses, widths n+1 <= 8 run panel_step_rows on a compile-time
+/// width. Wider panels, and every impulse step, take a cache-blocked path:
+/// the SpMM, then the R'/½S' terms, then each A~_l added in ascending l by
+/// multiply_panel_rows(..., accumulate=true), then the accumulation. Per
+/// element the arithmetic order (entry-order Q' dot product, R', ½S', the
+/// convolution in ascending l, the weighted accumulation) is exactly the
+/// kFusedVectors kernel's, so results are bit-identical to it at every
+/// thread count.
 ///
-/// @p mat is the storage the sweep streams Q' from — scaled.q_prime itself
-/// for kCsr, or the SellCsMatrix built from it for kSellCs. Both provide
-/// visit_row and multiply_panel_rows with the same per-row entry order, so
-/// the instantiations are bit-identical.
-template <class Matrix>
-void fused_panel_step(const Matrix& mat, const ScaledModel& scaled,
+/// j_lo == 1 (solve_multi, the impulse solver): column 0 of both panels
+/// holds the invariant all-ones vector h and is never recomputed; the
+/// accumulation and the convolution read it in place. j_lo == 0
+/// (solve_terminal_weighted): the seed vector is not invariant and column 0
+/// is iterated like the rest.
+void fused_panel_step(const ScaledModel& scaled,
+                      std::span<const linalg::CsrMatrix> impulse,
                       std::size_t n, std::size_t j_lo, linalg::Panel& u,
                       linalg::Panel& u_next,
                       std::span<const ActiveWeight> active,
                       std::vector<linalg::Panel>& acc) {
+  const linalg::CsrMatrix& mat = scaled.q_prime;
   const std::size_t num_states = mat.rows();
   const std::size_t width = n + 1;
+  const std::size_t fixed_width = impulse.empty() ? width : 0;
   // Per-weight destination base pointers, resolved once per step.
   std::vector<double*> acc_base(active.size());
   for (std::size_t a = 0; a < active.size(); ++a)
@@ -171,7 +160,7 @@ void fused_panel_step(const Matrix& mat, const ScaledModel& scaled,
   linalg::parallel_for(
       num_states,
       [&](std::size_t row_begin, std::size_t row_end) {
-        switch (width) {
+        switch (fixed_width) {
           case 1:
             panel_step_rows_dispatch_jlo<1>(mat, scaled, j_lo, ubase, obase,
                                             active, acc_base, row_begin,
@@ -213,9 +202,9 @@ void fused_panel_step(const Matrix& mat, const ScaledModel& scaled,
                                             row_end);
             break;
           default: {
-            // Wide-panel fallback: cache-block the range so the u_next slab
-            // written by the SpMM is still hot when the diagonal update and
-            // the weighted accumulation re-read it (see kPanelBlockRows).
+            // Cache-block the range so the u_next slab written by the SpMM
+            // is still hot when the later stages re-read it (see
+            // kPanelBlockRows).
             for (std::size_t b0 = row_begin; b0 < row_end;
                  b0 += kPanelBlockRows) {
               const std::size_t b1 = std::min(row_end, b0 + kPanelBlockRows);
@@ -235,6 +224,16 @@ void fused_panel_step(const Matrix& mat, const ScaledModel& scaled,
                      ++j)
                   oi[j] += half_s * ui[j - 2];
               }
+              // Impulse convolution in ascending l: element (i, j) receives
+              // its A~_1 .. A~_j contributions in the reference kernel's
+              // order, each summed in its own accumulator before the add.
+              for (std::size_t l = 1; l <= impulse.size(); ++l) {
+                const linalg::CsrMatrix& a = impulse[l - 1];
+                if (a.nnz() == 0) continue;
+                a.multiply_panel_rows(u, u_next, b0, b1, /*src_col=*/0,
+                                      /*dst_col=*/l, width - l,
+                                      /*accumulate=*/true);
+              }
               const std::size_t lo = b0 * width;
               const std::size_t len = (b1 - b0) * width;
               for (const ActiveWeight& aw : active)
@@ -250,16 +249,18 @@ void fused_panel_step(const Matrix& mat, const ScaledModel& scaled,
 }
 
 /// One fused step over the pre-panel layout (one vector per moment order):
-/// re-streams the sparse structure once per order. Kept as the
-/// kFusedVectors reference kernel; see fused_panel_step for the production
-/// path. Templated over the storage format exactly like fused_panel_step.
-template <class Matrix>
-void fused_recursion_step(const Matrix& mat, const ScaledModel& scaled,
+/// re-streams the sparse structure once per order, and each impulse matrix
+/// once per order it feeds. This is the kFusedVectors reference kernel for
+/// both solvers; see fused_panel_step for the production path and for
+/// @p impulse.
+void fused_recursion_step(const ScaledModel& scaled,
+                          std::span<const linalg::CsrMatrix> impulse,
                           std::size_t n, std::size_t j_lo,
                           std::vector<linalg::Vec>& u,
                           std::vector<linalg::Vec>& u_next,
                           std::span<const ActiveWeight> active,
                           std::vector<std::vector<linalg::Vec>>& acc) {
+  const linalg::CsrMatrix& mat = scaled.q_prime;
   const std::size_t num_states = mat.rows();
 
   linalg::parallel_for(
@@ -289,6 +290,19 @@ void fused_recursion_step(const Matrix& mat, const ScaledModel& scaled,
             for (std::size_t i = row_begin; i < row_end; ++i)
               out[i] += 0.5 * scaled.s_prime[i] * lower2[i];
           }
+          // Impulse convolution: + sum_{l=1..j} A~_l U^(j-l).
+          for (std::size_t l = 1; l <= j && l <= impulse.size(); ++l) {
+            const linalg::CsrMatrix& a = impulse[l - 1];
+            if (a.nnz() == 0) continue;
+            const linalg::Vec& lower = u[j - l];
+            for (std::size_t i = row_begin; i < row_end; ++i) {
+              double imp = 0.0;
+              a.visit_row(i, [&](std::size_t col, double v) {
+                imp += v * lower[col];
+              });
+              out[i] += imp;
+            }
+          }
         }
         // Accumulation goes through linalg::axpy on the owned sub-range: the
         // weight travels by value, so the compiler keeps it in a register and
@@ -314,14 +328,20 @@ void fused_recursion_step(const Matrix& mat, const ScaledModel& scaled,
   for (std::size_t j = j_lo; j <= n; ++j) std::swap(u[j], u_next[j]);
 }
 
-/// True when the scaled recursion is numerically subtraction-free (all
-/// R' >= 0, i.e. shift-mode scaling; S' is non-negative by construction),
-/// which is when the checked build may assert iterate non-negativity.
-/// Only evaluated in checked builds.
-bool is_subtraction_free(const ScaledModel& scaled) {
+/// True when the scaled recursion is numerically subtraction-free: all
+/// R' >= 0 (shift-mode scaling; S' is non-negative by construction) and
+/// every impulse matrix non-negative (odd normal moments of a negative
+/// impulse mean break that). Only then may the checked build assert
+/// iterate non-negativity. Only evaluated in checked builds.
+bool is_subtraction_free(const ScaledModel& scaled,
+                         std::span<const linalg::CsrMatrix> impulse) {
   return check::kChecked &&
          std::all_of(scaled.r_prime.begin(), scaled.r_prime.end(),
-                     [](double r) { return r >= 0.0; });
+                     [](double r) { return r >= 0.0; }) &&
+         std::all_of(impulse.begin(), impulse.end(),
+                     [](const linalg::CsrMatrix& a) {
+                       return a.is_nonnegative(0.0);
+                     });
 }
 
 /// Turns the sweep's row-major accumulator panels @p acc (acc[ti](i, j) =
@@ -335,11 +355,12 @@ bool is_subtraction_free(const ScaledModel& scaled) {
 /// chain is exactly shift_raw_moments' (each coefficient is the same
 /// product, and the sum runs from k = j down to 0), so the moments carry
 /// the bits the solvers have always returned (pinned by
-/// tests/test_session_golden.cpp). @p prefactor is 1 for the plain sweep
-/// and w_max for the terminal-weighted one (undoing the seed
-/// normalization). @p jensen_applies must be false for terminal-weighted
-/// output, where V^(j) = E[B^j w(Z(t))] and Cauchy-Schwarz only yields
-/// V2 >= V1^2 for weights bounded by 1.
+/// tests/test_session_golden.cpp and tests/test_impulse_golden.cpp).
+/// @p prefactor is 1 for the plain sweep and w_max for the
+/// terminal-weighted one (undoing the seed normalization).
+/// @p jensen_applies must be false for terminal-weighted output, where
+/// V^(j) = E[B^j w(Z(t))] and Cauchy-Schwarz only yields V2 >= V1^2 for
+/// weights bounded by 1.
 void finalize_panels(std::vector<linalg::Panel>& acc, RetainedSweep& sweep,
                      double prefactor, bool jensen_applies,
                      const char* caller) {
@@ -398,24 +419,55 @@ void finalize_panels(std::vector<linalg::Panel>& acc, RetainedSweep& sweep,
   }
 }
 
-/// The shared sweep body behind solve_multi, solve_terminal_weighted and
-/// sweep_retained: scales the model, computes per-time truncation points
-/// and Poisson windows, runs the fused recursion with the per-time weighted
-/// accumulation, and returns the retained panels. @p terminal_weights empty
-/// selects the plain sweep (invariant ones seed, j_lo = 1); non-empty
-/// selects the terminal-weighted sweep (normalized w seed, j_lo = 0).
-/// @p caller names the solve in checked-build probe messages.
+/// The plain solver's side of the sweep: scales the model, then runs the
+/// shared body with the Theorem-4 rule and no impulse matrices. Behind
+/// solve_multi, solve_terminal_weighted and sweep_retained.
+/// @p terminal_weights empty selects the plain sweep (invariant ones seed,
+/// j_lo = 1); non-empty selects the terminal-weighted sweep (normalized w
+/// seed, j_lo = 0). @p caller names the solve in checked-build probe
+/// messages.
 RetainedSweep run_sweep(const SecondOrderMrm& model,
                         std::span<const double> times,
                         const MomentSolverOptions& options,
                         std::span<const double> terminal_weights,
                         const char* caller) {
   const std::int64_t total_t0 = obs::now_ns();
+  // Theorem 4 applies to the weighted sweep unchanged: the normalized seed
+  // w/w_max is <= h, so Lemma 2's majorant still dominates.
+  return detail::sweep_scaled(
+      model, scale_model(model, options.scale_policy, options.center), {},
+      times, options,
+      {&RandomizationMomentSolver::truncation_point, &theorem4_error_bound},
+      terminal_weights, total_t0, caller);
+}
+
+/// Validates a terminal-weight vector against the model, throwing with the
+/// caller's name (shared by solve_terminal_weighted and sweep_retained).
+void validate_terminal_weights(std::span<const double> weights,
+                               std::size_t num_states, const char* caller) {
+  const auto fail = [caller](const char* what) {
+    throw std::invalid_argument(std::string(caller) + ": " + what);
+  };
+  if (weights.size() != num_states) fail("weight vector size mismatch");
+  if (!linalg::is_nonnegative(weights)) fail("weights must be non-negative");
+  if (!(linalg::max_elem(weights) > 0.0)) fail("weights must not be all zero");
+}
+
+}  // namespace
+
+namespace detail {
+
+RetainedSweep sweep_scaled(const SecondOrderMrm& model, ScaledModel scaled,
+                           std::vector<linalg::CsrMatrix> impulse,
+                           std::span<const double> times,
+                           const MomentSolverOptions& options,
+                           const TruncationRule& rule,
+                           std::span<const double> terminal_weights,
+                           std::int64_t total_t0, const char* caller) {
   const std::size_t n = options.max_moment;
   const std::size_t num_states = model.num_states();
   const bool weighted = !terminal_weights.empty();
   const double w_max = weighted ? linalg::max_elem(terminal_weights) : 1.0;
-  ScaledModel scaled = scale_model(model, options.scale_policy, options.center);
 
   RetainedSweep sweep;
   sweep.times.assign(times.begin(), times.end());
@@ -428,20 +480,17 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
 
   obs::SolverStats& stats = sweep.stats;
   stats.threads = linalg::num_threads();
-  stats.simd = linalg::simd::level_name(linalg::simd::active_level());
   stats.reorder = "none";
-  stats.storage = options.storage == StorageFormat::kSellCs ? "sellcs" : "csr";
   stats.panel_width = n + 1;
   stats.scale_seconds = obs::seconds_between(total_t0, obs::now_ns());
 
-  // Degenerate chain: no transitions ever happen, so conditioned on
-  // Z(0) = i the reward is exactly a Brownian motion with (r_i, sigma_i^2)
-  // and the moments are the closed-form normal moments (times the terminal
-  // weight, which only sees the frozen state Z(t) = Z(0) = i). The panels
-  // are final as written; there is no truncation.
+  // Degenerate chain: no transitions (hence no impulses) ever happen, so
+  // conditioned on Z(0) = i the reward is exactly a Brownian motion with
+  // (r_i, sigma_i^2) and the moments are the closed-form normal moments
+  // (times the terminal weight, which only sees the frozen state Z(t) =
+  // Z(0) = i). The panels are final as written; there is no truncation.
   if (scaled.q == 0.0) {
     stats.kernel = "degenerate";
-    stats.storage = "none";  // the closed form builds no sparse matrix
     stats.panel_width = 0;
     sweep.truncation_points.assign(times.size(), 0);
     sweep.error_bounds.assign(times.size(), 0.0);
@@ -460,8 +509,9 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   }
 
   // Optional bandwidth-reduction reorder (linalg/reorder.hpp): the sweep
-  // runs on the permuted state space and the retained panels are permuted
-  // back just before return. permute_symmetric preserves every row's
+  // runs on the permuted state space — Q', R', S' and every impulse matrix
+  // under the same permutation — and the accumulator panels are permuted
+  // back before finalize. permute_symmetric preserves every row's
   // stored-entry order, so the arithmetic chain — and hence every output
   // bit — is identical under any policy; only memory locality changes.
   std::vector<std::size_t> perm;  // perm[new] = old; empty = no reorder
@@ -478,42 +528,17 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
       scaled.q_prime = linalg::permute_symmetric(scaled.q_prime, perm);
       scaled.r_prime = linalg::permute_vector(scaled.r_prime, perm);
       scaled.s_prime = linalg::permute_vector(scaled.s_prime, perm);
+      for (linalg::CsrMatrix& a : impulse)
+        a = linalg::permute_symmetric(a, perm);
       stats.bandwidth_after = linalg::bandwidth(scaled.q_prime);
     }
     stats.reorder = options.reorder == ReorderPolicy::kRcm ? "rcm" : "degree";
     stats.scale_seconds += obs::seconds_between(reorder_t0, obs::now_ns());
   }
 
-  // Optional SELL-C-σ storage (linalg/sellcs.hpp): σ-sort the (possibly
-  // reorder-permuted) rows by descending length — expressed as a second
-  // permutation stage composed onto perm, so the existing unpermute at
-  // sweep end undoes both stages at once — then convert. The SELL kernels
-  // keep each row's entries in CSR order, so like the reorder this changes
-  // memory traffic, never a single output bit.
-  linalg::SellCsMatrix sell;
-  const bool use_sell = options.storage == StorageFormat::kSellCs;
-  if (use_sell) {
-    const std::int64_t sell_t0 = obs::now_ns();
-    std::vector<std::size_t> sigma_perm =
-        linalg::SellCsMatrix::sigma_sort_permutation(
-            scaled.q_prime, linalg::SellCsMatrix::kDefaultSigma);
-    if (!linalg::is_identity_permutation(sigma_perm)) {
-      scaled.q_prime = linalg::permute_symmetric(scaled.q_prime, sigma_perm);
-      scaled.r_prime = linalg::permute_vector(scaled.r_prime, sigma_perm);
-      scaled.s_prime = linalg::permute_vector(scaled.s_prime, sigma_perm);
-      perm = perm.empty() ? std::move(sigma_perm)
-                          : compose_permutations(perm, sigma_perm);
-    }
-    sell = linalg::SellCsMatrix::from_csr(scaled.q_prime,
-                                          linalg::SellCsMatrix::kDefaultChunk);
-    stats.padding_ratio = sell.padding_ratio();
-    stats.chunk_occupancy = sell.chunk_occupancy();
-    stats.scale_seconds += obs::seconds_between(sell_t0, obs::now_ns());
-  }
-
-  // Theorem-4 truncation per time point: honour epsilon for every moment
-  // order 0..n, so take the max of the per-order G values. The per-order
-  // maxima over the time points land in stats.truncation_points.
+  // Truncation per time point: honour epsilon for every moment order 0..n,
+  // so take the max of the per-order G values. The per-order maxima over
+  // the time points land in stats.truncation_points.
   const std::int64_t trunc_t0 = obs::now_ns();
   std::vector<std::size_t>& trunc = sweep.truncation_points;
   trunc.assign(times.size(), 0);
@@ -524,26 +549,25 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
     const double qt = scaled.q * times[ti];
     std::size_t g = 0;
     for (std::size_t j = 0; j <= n; ++j) {
-      const std::size_t gj = RandomizationMomentSolver::truncation_point(
-          qt, j, scaled.d, options.epsilon);
+      const std::size_t gj = rule.point(qt, j, scaled.d, options.epsilon);
       stats.truncation_points[j] = std::max(stats.truncation_points[j], gj);
       g = std::max(g, gj);
     }
     trunc[ti] = g;
-    // Theorem 4 applies to the weighted sweep unchanged: the normalized
-    // seed w/w_max is <= h, so Lemma 2's majorant still dominates.
-    sweep.error_bounds[ti] = theorem4_error_bound(qt, n, scaled.d, g);
+    sweep.error_bounds[ti] = rule.bound(qt, n, scaled.d, g);
     if constexpr (check::kChecked) {
       check::check_truncation_bound(
           sweep.error_bounds[ti],
-          g > 0 ? theorem4_error_bound(qt, n, scaled.d, g - 1)
-                : sweep.error_bounds[ti],
+          g > 0 ? rule.bound(qt, n, scaled.d, g - 1) : sweep.error_bounds[ti],
           options.epsilon, g, caller);
     }
     g_max = std::max(g_max, g);
   }
   stats.truncation_seconds = obs::seconds_between(trunc_t0, obs::now_ns());
-  const bool subtraction_free = is_subtraction_free(scaled);
+  const bool subtraction_free = is_subtraction_free(scaled, impulse);
+  // Lemma 2's majorant bounds the plain recursion only; the impulse
+  // recursion's majorant is the looser (2k)^n / n!.
+  const bool apply_majorant = impulse.empty();
 
   // Per-time-point Poisson weight tables, one lgamma each (mode-centered
   // multiplicative recurrence with left truncation) — the old code paid one
@@ -560,17 +584,36 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   }
   stats.window_seconds = obs::seconds_between(window_t0, obs::now_ns());
   stats.sweep_steps = g_max;
-  // Lanes actually iterated per CSR pass: the plain sweep's j = 0 column is
-  // invariant (j_lo = 1), so n lanes; the weighted seed is not invariant,
-  // so all n+1 lanes iterate (j_lo = 0).
+  // Section-6 sweep cost. Lanes actually iterated per Q' pass: the plain
+  // sweep's j = 0 column is invariant (j_lo = 1), so n lanes; the weighted
+  // seed is not invariant, so all n+1 lanes iterate (j_lo = 0). Each
+  // impulse matrix A~_l streams against the n+1-l lanes of its band.
   const std::size_t j_lo = weighted ? 0 : 1;
-  stats.sweep_flops =
-      2 * g_max * scaled.q_prime.nnz() * (weighted ? n + 1 : n);
+  std::size_t flops_per_step = 2 * scaled.q_prime.nnz() * (n + 1 - j_lo);
+  for (std::size_t l = 1; l <= impulse.size(); ++l)
+    flops_per_step += 2 * impulse[l - 1].nnz() * (n + 1 - l);
+  stats.sweep_flops = g_max * flops_per_step;
 
   const auto seed_value = [&](std::size_t i) {
     if (!weighted) return 1.0;
     // Row i of the (possibly permuted) sweep is model state perm[i].
     return terminal_weights[perm.empty() ? i : perm[i]] / w_max;
+  };
+  // The time points whose Poisson weight at step k is non-zero.
+  std::vector<ActiveWeight> active;
+  active.reserve(times.size());
+  const auto activate = [&](std::size_t k) {
+    active.clear();
+    for (std::size_t ti = 0; ti < times.size(); ++ti) {
+      if (k > trunc[ti]) continue;
+      const double w = windows[ti].weight(k);
+      if (w != 0.0) active.push_back(ActiveWeight{ti, w});
+    }
+    stats.active_weight_sum += active.size();
+  };
+  // The k = 0 weight of each time point.
+  const auto weight0 = [&](std::size_t ti) {
+    return scaled.q * times[ti] > 0.0 ? windows[ti].weight(0) : 1.0;
   };
 
   // Row-major accumulators acc[ti](i, j); finalize_panels turns them into
@@ -587,8 +630,7 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
 
     // k = 0 contribution.
     for (std::size_t ti = 0; ti < times.size(); ++ti) {
-      const double qt = scaled.q * times[ti];
-      const double w0 = qt > 0.0 ? windows[ti].weight(0) : 1.0;
+      const double w0 = weight0(ti);
       if (w0 != 0.0)
         for (std::size_t i = 0; i < num_states; ++i)
           acc[ti](i, 0) += w0 * u(i, 0);
@@ -596,25 +638,13 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
 
     const std::int64_t sweep_t0 = obs::now_ns();
     const std::int64_t busy0 = detail::parallel_busy_metric().total_ns();
-    std::vector<ActiveWeight> active;
-    active.reserve(times.size());
     for (std::size_t k = 1; k <= g_max; ++k) {
-      active.clear();
-      for (std::size_t ti = 0; ti < times.size(); ++ti) {
-        if (k > trunc[ti]) continue;
-        const double w = windows[ti].weight(k);
-        if (w != 0.0) active.push_back(ActiveWeight{ti, w});
-      }
-      stats.active_weight_sum += active.size();
+      activate(k);
       const std::int64_t k_t0 = obs::now_ns();
-      if (use_sell)
-        fused_panel_step(sell, scaled, n, j_lo, u, u_next, active, acc);
-      else
-        fused_panel_step(scaled.q_prime, scaled, n, j_lo, u, u_next, active,
-                         acc);
+      fused_panel_step(scaled, impulse, n, j_lo, u, u_next, active, acc);
       if constexpr (check::kChecked)
-        check::check_sweep_panel(u, k, j_lo, subtraction_free,
-                                 /*apply_majorant=*/true, caller);
+        check::check_sweep_panel(u, k, j_lo, subtraction_free, apply_majorant,
+                                 caller);
       detail::record_sweep_step(k_t0, k, active.size());
     }
     detail::finish_sweep_stats(stats, sweep_t0, busy0);
@@ -629,33 +659,20 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
 
     // k = 0 contribution.
     for (std::size_t ti = 0; ti < times.size(); ++ti) {
-      const double qt = scaled.q * times[ti];
-      const double w0 = qt > 0.0 ? windows[ti].weight(0) : 1.0;
+      const double w0 = weight0(ti);
       if (w0 != 0.0) linalg::axpy(w0, u[0], acc[ti][0]);
     }
 
     const std::int64_t sweep_t0 = obs::now_ns();
     const std::int64_t busy0 = detail::parallel_busy_metric().total_ns();
-    std::vector<ActiveWeight> active;
-    active.reserve(times.size());
     for (std::size_t k = 1; k <= g_max; ++k) {
-      active.clear();
-      for (std::size_t ti = 0; ti < times.size(); ++ti) {
-        if (k > trunc[ti]) continue;
-        const double w = windows[ti].weight(k);
-        if (w != 0.0) active.push_back(ActiveWeight{ti, w});
-      }
-      stats.active_weight_sum += active.size();
+      activate(k);
       const std::int64_t k_t0 = obs::now_ns();
-      if (use_sell)
-        fused_recursion_step(sell, scaled, n, j_lo, u, u_next, active, acc);
-      else
-        fused_recursion_step(scaled.q_prime, scaled, n, j_lo, u, u_next,
-                             active, acc);
+      fused_recursion_step(scaled, impulse, n, j_lo, u, u_next, active, acc);
       if constexpr (check::kChecked) {
         for (std::size_t j = 0; j <= n; ++j)
           check::check_sweep_column(u[j], k, j, subtraction_free,
-                                    /*apply_majorant=*/true, caller);
+                                    apply_majorant, caller);
       }
       detail::record_sweep_step(k_t0, k, active.size());
     }
@@ -682,19 +699,23 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   return sweep;
 }
 
-/// Validates a terminal-weight vector against the model, throwing with the
-/// caller's name (shared by solve_terminal_weighted and sweep_retained).
-void validate_terminal_weights(std::span<const double> weights,
-                               std::size_t num_states, const char* caller) {
-  const auto fail = [caller](const char* what) {
-    throw std::invalid_argument(std::string(caller) + ": " + what);
-  };
-  if (weights.size() != num_states) fail("weight vector size mismatch");
-  if (!linalg::is_nonnegative(weights)) fail("weights must be non-negative");
-  if (!(linalg::max_elem(weights) > 0.0)) fail("weights must not be all zero");
+std::vector<MomentResult> finalize_all(RetainedSweep& sweep,
+                                       std::span<const double> initial,
+                                       std::size_t max_moment,
+                                       std::int64_t total_t0) {
+  const std::int64_t finalize_t0 = obs::now_ns();
+  std::vector<MomentResult> results;
+  results.reserve(sweep.times.size());
+  for (std::size_t ti = 0; ti < sweep.times.size(); ++ti)
+    results.push_back(finalize_from_sweep(sweep, ti, initial, max_moment));
+  sweep.stats.finalize_seconds =
+      obs::seconds_between(finalize_t0, obs::now_ns());
+  sweep.stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
+  for (MomentResult& r : results) r.stats = sweep.stats;
+  return results;
 }
 
-}  // namespace
+}  // namespace detail
 
 void validate_solver_inputs(std::span<const double> times,
                             const MomentSolverOptions& options,
@@ -938,18 +959,8 @@ std::vector<MomentResult> RandomizationMomentSolver::solve_multi(
                               static_cast<double>(times.size()));
 
   RetainedSweep sweep = run_sweep(model_, times, options, {}, "solve_multi");
-
-  const std::int64_t finalize_t0 = obs::now_ns();
-  std::vector<MomentResult> results;
-  results.reserve(times.size());
-  for (std::size_t ti = 0; ti < times.size(); ++ti)
-    results.push_back(finalize_from_sweep(sweep, ti, model_.initial(),
-                                          options.max_moment));
-  sweep.stats.finalize_seconds =
-      obs::seconds_between(finalize_t0, obs::now_ns());
-  sweep.stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
-  for (MomentResult& r : results) r.stats = sweep.stats;
-  return results;
+  return detail::finalize_all(sweep, model_.initial(), options.max_moment,
+                              total_t0);
 }
 
 }  // namespace somrm::core

@@ -63,9 +63,10 @@ enum class SweepKernel {
   /// doubles. Default — fastest, bit-identical to kFusedVectors.
   kPanel,
   /// The pre-panel fused kernel: one vector per moment order, the CSR
-  /// structure re-streamed once per order per step. Kept for regression
-  /// benchmarking and for the bit-identity tests that pin the panel kernel
-  /// to the historical solver output.
+  /// structure re-streamed once per order per step. Kept as the reference
+  /// step of both randomization solvers (this one and
+  /// core/impulse_randomization.hpp): the bit-identity tests compare the
+  /// panel kernel against it.
   kFusedVectors,
 };
 
@@ -78,17 +79,6 @@ enum class ReorderPolicy {
   kNone,    ///< solve in the model's own state order (default)
   kRcm,     ///< reverse Cuthill–McKee on the symmetrized Q' pattern
   kDegree,  ///< ascending-degree ordering (cheaper, weaker)
-};
-
-/// Sparse storage format Q' is streamed from during the sweep (see
-/// linalg/sellcs.hpp). SELL-C-σ runs on a σ-sorted row order expressed as
-/// an explicit permutation that composes with the reorder permutation, and
-/// every kernel walks each row's entries in its CSR order, so — like
-/// ReorderPolicy — the choice changes memory traffic, never a single
-/// output bit (asserted by test_sellcs.cpp).
-enum class StorageFormat {
-  kCsr,     ///< plain three-array CSR (default)
-  kSellCs,  ///< SELL-C-σ sliced ELLPACK, C = 8, σ = 64
 };
 
 struct MomentSolverOptions {
@@ -115,11 +105,6 @@ struct MomentSolverOptions {
   /// already emit near-banded orderings, so the pass pays off mainly for
   /// externally loaded models with scattered state numbering.
   ReorderPolicy reorder = ReorderPolicy::kNone;
-  /// Sparse storage the sweep streams Q' from (bit-exact no matter what —
-  /// see StorageFormat). kCsr by default; kSellCs trades a one-time
-  /// conversion (reported in SolverStats::padding_ratio) for the blocked
-  /// layout.
-  StorageFormat storage = StorageFormat::kCsr;
 };
 
 /// Result of a moment computation at one time point.

@@ -52,7 +52,6 @@ std::string solve_key(std::span<const double> times,
   h.word(std::bit_cast<std::uint64_t>(options.center));
   h.word(static_cast<std::uint64_t>(options.scale_policy));
   h.word(static_cast<std::uint64_t>(options.kernel));
-  h.word(static_cast<std::uint64_t>(options.storage));
   return h.hex();
 }
 

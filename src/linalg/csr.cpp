@@ -6,7 +6,6 @@
 
 #include "core/invariants.hpp"
 #include "linalg/parallel.hpp"
-#include "linalg/simd.hpp"
 #include "obs/telemetry.hpp"
 
 namespace {
@@ -344,20 +343,11 @@ void CsrMatrix::multiply_panel_rows(const Panel& x, Panel& y,
   if (src_col + count > x.width() || dst_col + count > y.width())
     throw std::invalid_argument(
         "CsrMatrix::multiply_panel_rows: column window out of range");
-  // Vector variants (SOMRM_NATIVE builds) lane the panel columns, so each
-  // column keeps the scalar kernels' accumulation chain — dispatching here
-  // trades only speed, never output bits (see linalg/simd.hpp).
-  const simd::PanelRowsFn vector_kernel = simd::panel_rows_kernel();
   for (std::size_t c0 = 0; c0 < count; c0 += kPanelChunk) {
     const std::size_t cw = std::min(kPanelChunk, count - c0);
     const double* xbase = x.data() + src_col + c0;
     double* ybase = y.data() + dst_col + c0;
     const std::size_t xw = x.width(), yw = y.width();
-    if (vector_kernel != nullptr) {
-      vector_kernel(row_ptr_.data(), col_idx_.data(), values_.data(), xbase,
-                    xw, ybase, yw, row_begin, row_end, cw, accumulate);
-      continue;
-    }
     switch (cw) {
       case 1:
         panel_rows_fixed<1>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,

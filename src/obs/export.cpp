@@ -16,17 +16,6 @@ namespace somrm::obs {
 
 namespace {
 
-std::string export_format_seconds(double s) {
-  char buf[64];
-  if (s >= 1.0)
-    std::snprintf(buf, sizeof buf, "%.3f s", s);
-  else if (s >= 1e-3)
-    std::snprintf(buf, sizeof buf, "%.3f ms", s * 1e3);
-  else
-    std::snprintf(buf, sizeof buf, "%.1f us", s * 1e6);
-  return buf;
-}
-
 /// "somrm_" prefix, dots (and any other non-[a-zA-Z0-9_]) to underscores —
 /// the Prometheus metric-name charset.
 std::string prom_name(const std::string& name) {
@@ -309,7 +298,7 @@ std::string report() {
   std::int64_t spmv_flops = 0, spmv_ns = 0;
   for (const MetricSample& m : snap.counters) {
     os << "  " << m.name << ": count=" << m.count;
-    if (m.total_ns > 0) os << " time=" << export_format_seconds(m.seconds());
+    if (m.total_ns > 0) os << " time=" << format_seconds(m.seconds());
     os << "\n";
     if (m.name == "spmv.flops") spmv_flops = m.count;
     if (m.name == "spmv.calls") spmv_ns = m.total_ns;

@@ -12,8 +12,6 @@
 
 namespace somrm::obs {
 
-namespace {
-
 std::string format_seconds(double s) {
   char buf[64];
   if (s >= 1.0)
@@ -24,8 +22,6 @@ std::string format_seconds(double s) {
     std::snprintf(buf, sizeof buf, "%.1f us", s * 1e6);
   return buf;
 }
-
-}  // namespace
 
 #if SOMRM_OBSERVABILITY
 
@@ -231,16 +227,6 @@ std::string report(const SolverStats& stats) {
   os << "solver stats (" << (stats.kernel.empty() ? "?" : stats.kernel)
      << " kernel, width " << stats.panel_width << ", " << stats.threads
      << " thread" << (stats.threads == 1 ? "" : "s") << ")\n";
-  if (!stats.storage.empty()) {
-    os << "  storage: " << stats.storage;
-    if (stats.storage == "sellcs") {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.2f%% padding, %.4f occupancy",
-                    stats.padding_ratio * 100.0, stats.chunk_occupancy);
-      os << " (" << buf << ")";
-    }
-    os << "\n";
-  }
   os << "  G(eps) per moment:";
   for (std::size_t g : stats.truncation_points) os << " " << g;
   os << "\n  Poisson window width per time point:";

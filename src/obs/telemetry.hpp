@@ -55,27 +55,15 @@ constexpr bool kEnabled = SOMRM_OBSERVABILITY != 0;
 /// Pois(k; q t_i) above DBL_MIN — the k-range that actually contributes to
 /// V^(n)(t_i).
 struct SolverStats {
-  /// Sweep kernel that ran: "panel", "fused_vectors", "degenerate" (q == 0
-  /// closed form), or "impulse_panel"/"impulse_fused_vectors".
+  /// Sweep kernel that ran: "panel" or "fused_vectors" (the two
+  /// MomentSolverOptions::kernel choices, both over the one CSR storage),
+  /// the same two prefixed "impulse_" for the impulse-reward solver, or
+  /// "degenerate" for the q == 0 closed form of either solver.
   std::string kernel;
-  /// SIMD level the CSR×panel row kernels dispatch to ("scalar" in
-  /// portable builds; "avx2"/"avx512" under -DSOMRM_NATIVE=ON when the CPU
-  /// supports it). Bit-exact either way — this records speed, not values.
-  std::string simd;
   /// Bandwidth-reduction reorder applied at sweep setup: "none", "rcm",
   /// or "degree" (MomentSolverOptions::reorder). Outputs are permuted back,
-  /// so this too records locality, not values.
+  /// so this records locality, not values.
   std::string reorder;
-  /// Sparse storage Q' was streamed from: "csr", "sellcs"
-  /// (MomentSolverOptions::storage), or "none" for the degenerate q == 0
-  /// closed form, which builds no sparse matrix at all. Bit-exact either
-  /// way — like simd/reorder, this records traffic, not values.
-  std::string storage;
-  /// SELL-C-σ padding diagnostics: the fraction of allocated entry slots
-  /// that are zero padding and its complement nnz / allocated. 0 and 1
-  /// respectively for CSR (nothing padded) and the degenerate path.
-  double padding_ratio = 0.0;
-  double chunk_occupancy = 1.0;
   /// CSR bandwidth of Q' before/after the reorder (equal when reorder is
   /// "none" or the computed permutation was the identity).
   std::size_t bandwidth_before = 0;
@@ -256,6 +244,10 @@ inline void reset_metrics() {}
 inline double seconds_between(std::int64_t t0, std::int64_t t1) {
   return static_cast<double>(t1 - t0) * 1e-9;
 }
+
+/// A duration in the unit that suits it: "1.234 s", "5.678 ms" or
+/// "9.0 us". Shared by report() and the text export.
+std::string format_seconds(double s);
 
 /// Human-readable per-solve summary (phase times, Theorem-4 quantities,
 /// kernel throughput). Works in OFF builds too — timing lines then show

@@ -138,11 +138,7 @@ class Reader {
 
 void write_stats(Writer& w, const obs::SolverStats& s) {
   w.str(s.kernel);
-  w.str(s.simd);
   w.str(s.reorder);
-  w.str(s.storage);
-  w.f64(s.padding_ratio);
-  w.f64(s.chunk_occupancy);
   w.u64(s.bandwidth_before);
   w.u64(s.bandwidth_after);
   w.u64(s.panel_width);
@@ -171,11 +167,7 @@ void write_stats(Writer& w, const obs::SolverStats& s) {
 obs::SolverStats read_stats(Reader& r) {
   obs::SolverStats s;
   s.kernel = r.str();
-  s.simd = r.str();
   s.reorder = r.str();
-  s.storage = r.str();
-  s.padding_ratio = r.f64();
-  s.chunk_occupancy = r.f64();
   s.bandwidth_before = static_cast<std::size_t>(r.u64());
   s.bandwidth_after = static_cast<std::size_t>(r.u64());
   s.panel_width = static_cast<std::size_t>(r.u64());

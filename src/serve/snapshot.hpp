@@ -5,7 +5,7 @@
 // reload, the first query against a persisted (model, solve key, weights)
 // combination is a cache HIT and runs no sweep at all.
 //
-// Format (version 2, fixed-width host-order integers, cross-endian loads
+// Format (version 3, fixed-width host-order integers, cross-endian loads
 // rejected by the probe word):
 //
 //   magic    "SOMRMSWP"                         8 bytes
@@ -20,8 +20,10 @@
 //            before it
 //
 // Version 1 held raw Poisson-weighted accumulators under keys hashed by
-// byte-wise FNV-1a; served as moments they would be wrong, so a version-1
-// file is refused like any other version.
+// byte-wise FNV-1a; served as moments they would be wrong. Version 2 keys
+// hashed the removed sparse-storage option and its SolverStats carried the
+// removed simd, storage and SELL-C-σ padding fields. A reader refuses both
+// like any other version.
 //
 // Every double travels by bit pattern, so the round trip is bit-exact:
 // core::bit_identical(saved, loaded) holds for each entry, and a finalize
@@ -43,7 +45,7 @@ namespace somrm::serve {
 /// Current snapshot format version. Bumped on any change to the layout or
 /// to what the payload means; a reader refuses other versions rather than
 /// guessing.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Snapshot save/load failure. The what() string names the reason: "bad
 /// magic", "format version mismatch", "endianness mismatch", "checksum

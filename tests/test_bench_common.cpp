@@ -127,14 +127,12 @@ TEST(BenchJsonTest, WriterEscapesRecordStrings) {
   rec.bench = "weird\"name\nwith newline";
   rec.kernel = "panel\\v2";
   rec.git_sha = "deadbeef";
-  rec.simd = "avx2";
   writer.add(std::move(rec));
   writer.write();
   const std::string content = slurp(path);
   EXPECT_NE(content.find("weird\\\"name\\nwith newline"), std::string::npos)
       << content;
   EXPECT_NE(content.find("panel\\\\v2"), std::string::npos);
-  EXPECT_NE(content.find("\"simd\": \"avx2\""), std::string::npos);
   // No raw newline may survive inside the emitted object line.
   EXPECT_EQ(content.find("weird\"name"), std::string::npos);
   std::remove(path.c_str());

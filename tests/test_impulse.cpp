@@ -248,6 +248,30 @@ TEST(ImpulseSolverTest, EpsilonHonored) {
                 1e-5 * (1.0 + std::abs(rt.weighted[j])));
 }
 
+TEST(ImpulseSolverTest, ReportsErrorBound) {
+  // Every solve reports the (4 d qt)^n tail bound at its truncation point,
+  // in the range epsilon promises; the q = 0 closed form has no truncation.
+  const auto model = SecondOrderImpulseMrm::uniform_impulse(
+      symmetric_chain(3.0, Vec{1.0, -0.5}, Vec{0.5, 0.2}), 0.7, 0.2);
+  MomentSolverOptions opts;
+  opts.epsilon = 1e-9;
+  const auto res = ImpulseMomentSolver(model).solve(1.0, opts);
+  EXPECT_GT(res.error_bound, 0.0);
+  EXPECT_LT(res.error_bound, opts.epsilon);
+  EXPECT_EQ(res.error_bound,
+            ImpulseMomentSolver::error_bound(res.q * res.time,
+                                             opts.max_moment, res.d,
+                                             res.truncation_point));
+
+  const auto frozen = SecondOrderImpulseMrm::uniform_impulse(
+      SecondOrderMrm(ctmc::Generator::from_rates(2, {}), Vec{1.0, 2.0},
+                     Vec{0.1, 0.2}, Vec{1.0, 0.0}),
+      0.7, 0.2);
+  const auto degenerate = ImpulseMomentSolver(frozen).solve(1.0, opts);
+  EXPECT_EQ(degenerate.q, 0.0);
+  EXPECT_EQ(degenerate.error_bound, 0.0);
+}
+
 TEST(ImpulseSolverTest, CenterOptionOffsetsRateRewardOnly) {
   // center = r removes the drift contribution; impulses remain.
   const double lambda = 2.0, c = 0.5, r = 3.0, t = 0.8;

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/impulse_randomization.hpp"
@@ -216,37 +217,79 @@ SecondOrderMrm shuffled_chain_model(std::size_t n) {
                         std::move(initial));
 }
 
+/// Impulses of mixed sign and variance on every transition of the shuffled
+/// chain, so a reorder that permuted Q' but not the impulse matrices would
+/// change the moments.
+core::SecondOrderImpulseMrm shuffled_impulse_model(std::size_t n) {
+  const SecondOrderMrm base = shuffled_chain_model(n);
+  const CsrMatrix& q = base.generator().matrix();
+  std::vector<Triplet> means, vars;
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t k = q.row_ptr()[r]; k < q.row_ptr()[r + 1]; ++k) {
+      const std::size_t c = q.col_idx()[k];
+      if (c == r) continue;
+      means.push_back({r, c, 0.1 * static_cast<double>((r + c) % 5) - 0.2});
+      vars.push_back({r, c, 0.05 * static_cast<double>(r % 3)});
+    }
+  return core::SecondOrderImpulseMrm(base,
+                                     CsrMatrix::from_triplets(n, n, means),
+                                     CsrMatrix::from_triplets(n, n, vars));
+}
+
+void expect_same_moments(const std::vector<MomentResult>& got,
+                         const std::vector<MomentResult>& ref,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), ref.size()) << label;
+  for (std::size_t ti = 0; ti < ref.size(); ++ti) {
+    ASSERT_EQ(got[ti].weighted, ref[ti].weighted) << label << " time " << ti;
+    ASSERT_EQ(got[ti].per_state, ref[ti].per_state) << label << " time " << ti;
+  }
+}
+
 TEST(ReorderTest, SolverRoundTripIsBitIdentical) {
-  const std::size_t n = 40;
+  // Every reordered solve must return the unreordered bits, for the plain
+  // solver, the terminal-weighted sweep and the impulse solver. (The same
+  // contract across thread counts and sweep kernels is SellCsTest's.) At
+  // 4,096 states both policies shrink the bandwidth, so every solve really
+  // runs permuted.
+  const std::size_t n = 4096;
   const RandomizationMomentSolver solver(shuffled_chain_model(n));
-  const std::vector<double> times = {0.3, 1.1, 2.7};
+  const core::ImpulseMomentSolver impulse_solver(shuffled_impulse_model(n));
+  const std::vector<double> times = {0.002, 0.005, 0.01};
+  Vec weights(n);
+  for (std::size_t i = 0; i < n; ++i)
+    weights[i] = 0.25 + static_cast<double>(i % 7);
 
   MomentSolverOptions base;
   base.max_moment = 3;
   base.epsilon = 1e-10;
 
   const auto ref = solver.solve_multi(times, base);
+  const auto ref_weighted = solver.solve_terminal_weighted(0.005, weights, base);
+  const auto ref_impulse = impulse_solver.solve_multi(times, base);
+  EXPECT_EQ(ref[0].stats.reorder, "none");
+  EXPECT_EQ(ref_impulse[0].stats.reorder, "none");
 
-  for (const ReorderPolicy policy : {ReorderPolicy::kRcm, ReorderPolicy::kDegree}) {
+  for (const ReorderPolicy policy :
+       {ReorderPolicy::kRcm, ReorderPolicy::kDegree}) {
     MomentSolverOptions opts = base;
     opts.reorder = policy;
+    const std::string label =
+        policy == ReorderPolicy::kRcm ? "rcm" : "degree";
+
     const auto got = solver.solve_multi(times, opts);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t ti = 0; ti < ref.size(); ++ti) {
-      for (std::size_t j = 0; j <= base.max_moment; ++j) {
-        EXPECT_EQ(got[ti].weighted[j], ref[ti].weighted[j])
-            << "t=" << times[ti] << " moment " << j;
-        ASSERT_EQ(got[ti].per_state[j].size(), n);
-        for (std::size_t i = 0; i < n; ++i)
-          EXPECT_EQ(got[ti].per_state[j][i], ref[ti].per_state[j][i])
-              << "t=" << times[ti] << " moment " << j << " state " << i;
-      }
-      EXPECT_EQ(got[ti].stats.reorder,
-                policy == ReorderPolicy::kRcm ? "rcm" : "degree");
-      EXPECT_LE(got[ti].stats.bandwidth_after, got[ti].stats.bandwidth_before);
+    expect_same_moments(got, ref, "plain " + label);
+    expect_same_moments({solver.solve_terminal_weighted(0.005, weights, opts)},
+                        {ref_weighted}, "weighted " + label);
+    const auto got_impulse = impulse_solver.solve_multi(times, opts);
+    expect_same_moments(got_impulse, ref_impulse, "impulse " + label);
+
+    for (const auto* results : {&got, &got_impulse}) {
+      const MomentResult& r = results->front();
+      EXPECT_EQ(r.stats.reorder, label);
+      EXPECT_LT(r.stats.bandwidth_after, r.stats.bandwidth_before) << label;
     }
   }
-  EXPECT_EQ(ref[0].stats.reorder, "none");
 }
 
 TEST(ReorderTest, ReorderStatsReportBandwidthReduction) {

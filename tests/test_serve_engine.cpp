@@ -43,6 +43,7 @@
 #include "obs/telemetry.hpp"
 #include "serve/engine.hpp"
 #include "serve/snapshot.hpp"
+#include "support/word_hash.hpp"
 
 namespace somrm {
 namespace {
@@ -685,29 +686,46 @@ TEST_F(SnapshotDefectTest, RejectsFormatVersionMismatch) {
 }
 
 TEST_F(SnapshotDefectTest, RejectsPreviousFormatVersion) {
-  // A complete, valid version-1 file (an empty cache, with that format's
-  // byte-wise FNV-1a-64 checksum). Version 1 held raw accumulators under
-  // differently hashed keys, so serving from it would be wrong; the reader
-  // must refuse it by version.
-  std::string v1(bytes_.substr(0, 8));  // the magic
-  const auto put = [&v1](const void* p, std::size_t n) {
-    v1.append(static_cast<const char*>(p), n);
+  // Complete, valid files of earlier versions, each an empty cache with
+  // that format's checksum. Version 1 held raw accumulators under
+  // differently hashed keys; version 2 hashed a removed option into its
+  // keys and carried removed SolverStats fields. Serving from either would
+  // be wrong, so the reader must refuse both by version.
+  const auto append = [](std::string& file, const void* p, std::size_t n) {
+    file.append(static_cast<const char*>(p), n);
   };
-  const std::uint32_t version = 1;
-  const std::uint32_t probe = 0x01020304u;
-  const std::uint64_t count = 0;
-  put(&version, sizeof version);
-  put(&probe, sizeof probe);
-  put(&count, sizeof count);
+  const auto header = [&](std::uint32_t version) {
+    std::string file(bytes_.substr(0, 8));  // the magic
+    const std::uint32_t probe = 0x01020304u;
+    const std::uint64_t count = 0;
+    append(file, &version, sizeof version);
+    append(file, &probe, sizeof probe);
+    append(file, &count, sizeof count);
+    return file;
+  };
+
+  // Version 1: byte-wise FNV-1a-64 checksum.
+  std::string v1 = header(1);
   std::uint64_t fnv = 14695981039346656037ULL;
   for (const char c : v1) {
     fnv ^= static_cast<unsigned char>(c);
     fnv *= 1099511628211ULL;
   }
-  put(&fnv, sizeof fnv);
-  ASSERT_LT(1u, serve::kSnapshotFormatVersion);
-  rewrite(v1);
-  expect_load_fails_with("format version mismatch");
+  append(v1, &fnv, sizeof fnv);
+
+  // Version 2: the WordHash digest (hi, lo) of every byte before it.
+  std::string v2 = header(2);
+  support::WordHash h;
+  h.bytes(v2.data(), v2.size());
+  const support::WordHash::Digest check = h.digest();
+  append(v2, &check.hi, sizeof check.hi);
+  append(v2, &check.lo, sizeof check.lo);
+
+  ASSERT_LT(2u, serve::kSnapshotFormatVersion);
+  for (const std::string& file : {v1, v2}) {
+    rewrite(file);
+    expect_load_fails_with("format version mismatch");
+  }
 }
 
 TEST_F(SnapshotDefectTest, RejectsEndiannessMismatch) {

@@ -20,8 +20,8 @@ time instead of waiting for a flaky numerical diff:
                            the association order is pinned. Every file
                            under a linalg/ path component is exempt: that
                            is where the fixed-order kernels themselves
-                           live (csr.cpp, sellcs.cpp, vec.cpp, ...), and
-                           new linalg storage backends qualify
+                           live (csr.cpp, vec.cpp, ...), and any new
+                           linalg storage backend qualifies
                            automatically.
   no-shared-capture        `x += ...` inside a parallel_for body where x
                            is not declared in the body — a by-reference

@@ -122,8 +122,9 @@ class LintDeterminismTest(unittest.TestCase):
         self.assertNotIn("linalg/b.cpp", proc.stdout)
 
     def test_fp_reduction_permitted_in_linalg_sellcs(self) -> None:
-        # Pins that new linalg storage backends (here the SELL-C-σ kernels)
-        # are automatically inside the fixed-order-reduction boundary, while
+        # Pins that a new linalg storage backend (here a hypothetical
+        # SELL-C-σ file) is automatically inside the fixed-order-reduction
+        # boundary, while
         # the identical code outside linalg/ still violates.
         code = "double s = std::accumulate(v.begin(), v.end(), 0.0);\n"
         self.write("linalg/sellcs.cpp", code)
