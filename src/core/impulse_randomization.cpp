@@ -155,7 +155,8 @@ std::vector<MomentResult> ImpulseMomentSolver::solve_multi(
           : std::vector<linalg::CsrMatrix>{};
   RetainedSweep sweep = detail::sweep_scaled(
       base, std::move(scaled), std::move(impulse), times, options,
-      {&truncation_point, &error_bound}, {}, total_t0, kCaller);
+      {&truncation_point, &error_bound, &log_impulse_prefactor}, {}, total_t0,
+      kCaller);
   // The stats name the solver with the kernel: "impulse_panel", ...
   if (sweep.stats.kernel != "degenerate")
     sweep.stats.kernel.insert(0, "impulse_");

@@ -154,6 +154,21 @@ void check_truncation_bound(double bound_at_g, double bound_at_g_minus_1,
              " exceeds the requested epsilon = ", epsilon));
 }
 
+void check_left_cut(double left_term, double right_bound,
+                    const char* context) {
+  if (!enabled()) return;
+  const double quarter_ulp =
+      0.25 * (std::nextafter(right_bound,
+                             std::numeric_limits<double>::infinity()) -
+              right_bound);
+  // The cut compares logs; exp of their sum may land a few ulps above.
+  if (!(left_term >= 0.0) || left_term > quarter_ulp * (1.0 + 1e-9))
+    fail("poisson.left_cut", __FILE__, __LINE__,
+         fmt(context, ": left-tail term ", left_term,
+             " is not below 1/4 ulp (", quarter_ulp,
+             ") of the right-tail bound ", right_bound));
+}
+
 void check_moment_consistency(std::span<const double> v1,
                               std::span<const double> v2, double epsilon,
                               const char* context) {

@@ -7,7 +7,8 @@
 // the randomized matrices stay sub-stochastic (Lemma 2: Q' stochastic,
 // R'h <= h, S'h <= h), the iterates U^(n)(k) stay non-negative and below
 // the Lemma-2 majorant 2 k!/(k-n)!, the Theorem-4 truncation bound is
-// monotone in G and below epsilon at the chosen G, and the finished
+// monotone in G and below epsilon at the chosen G, the Poisson windows'
+// left cut stays invisible in that bound, and the finished
 // moments are Jensen-consistent (V^(2) >= (V^(1))^2 per state). This
 // header provides the probes plus the SOMRM_CHECK / SOMRM_CHECK_FINITE
 // macros that gate them.
@@ -164,6 +165,12 @@ void check_truncation_bound(double bound_at_g, double bound_at_g_minus_1,
                             double epsilon, std::size_t g,
                             const char* context);
 
+/// The Poisson windows' left cut: the left term @p left_term (the rule's
+/// prefactor times the left mass a window dropped) must stay below 1/4 ulp
+/// of the right-tail bound @p right_bound (up to log-space rounding), so
+/// that charging it leaves the reported error bound's bits unchanged.
+void check_left_cut(double left_term, double right_bound, const char* context);
+
 /// Jensen / moment consistency at finalize: V^(2)_i >= (V^(1)_i)^2 - tol
 /// per state, with tol derived from the Theorem-4 budget @p epsilon plus
 /// relative rounding slack. Reports the failing state index and both
@@ -188,6 +195,7 @@ inline void check_sweep_panel(const linalg::Panel&, std::size_t, std::size_t,
                               bool, bool, const char*) {}
 inline void check_truncation_bound(double, double, double, std::size_t,
                                    const char*) {}
+inline void check_left_cut(double, double, const char*) {}
 inline void check_moment_consistency(std::span<const double>,
                                      std::span<const double>, double,
                                      const char*) {}

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "core/invariants.hpp"
@@ -20,8 +21,10 @@ namespace somrm::core {
 
 namespace {
 
-/// log(2 d^n n! (qt)^n) — the Theorem-4 prefactor in log space.
+/// log(2 d^n n! (qt)^n) — the Theorem-4 prefactor in log space; log 2 for
+/// n == 0 (also when d == 0).
 double log_theorem4_prefactor(double qt, std::size_t n, double d) {
+  if (n == 0) return std::log(2.0);
   const double nn = static_cast<double>(n);
   return std::log(2.0) + nn * std::log(d) + prob::log_factorial(n) +
          nn * std::log(qt);
@@ -32,7 +35,7 @@ double log_theorem4_prefactor(double qt, std::size_t n, double d) {
 double theorem4_error_bound(double qt, std::size_t n, double d,
                             std::size_t g) {
   const double log_bound =
-      (n == 0 ? std::log(2.0) : log_theorem4_prefactor(qt, n, d)) +
+      log_theorem4_prefactor(qt, n, d) +
       prob::log_poisson_tail(qt, g + 1 >= n ? g + 1 - n : 0);
   return std::exp(log_bound);
 }
@@ -65,7 +68,10 @@ constexpr std::size_t kPanelBlockRows = 1024;
 /// pass over the sparse structure AND one pass over the panels per step.
 /// Per element the arithmetic chain (dot product in entry order, then
 /// + R' u^(j-1), then + ½S' u^(j-2), then acc += w * value) is exactly the
-/// kFusedVectors kernel's, so results are bit-identical to it.
+/// kFusedVectors kernel's, so results are bit-identical to it. The
+/// accumulation reads the row from the local copy o, not from u_next: the
+/// stores to the acc panels could alias u_next, so reading oi would reload
+/// the row once per active time point.
 template <std::size_t W, std::size_t JLO>
 void panel_step_rows(const linalg::CsrMatrix& mat, const ScaledModel& scaled,
                      const double* ubase, double* obase,
@@ -88,14 +94,19 @@ void panel_step_rows(const linalg::CsrMatrix& mat, const ScaledModel& scaled,
     const double half_s = 0.5 * scaled.s_prime[i];
     for (std::size_t j = std::max<std::size_t>(JLO, 2); j <= n; ++j)
       s[j - JLO] += half_s * ui[j - 2];
-    for (std::size_t c = 0; c < W - JLO; ++c) oi[JLO + c] = s[c];
     // Weighted accumulation over the FULL width: for JLO == 1 the j = 0
-    // lane reads the invariant ones column stored in u_next, the same
-    // value the vector kernel takes from u[0].
+    // lane is the invariant ones column stored in u_next, the same value
+    // the vector kernel takes from u[0].
+    double o[W];
+    if constexpr (JLO == 1) o[0] = oi[0];
+    for (std::size_t c = 0; c < W - JLO; ++c) {
+      oi[JLO + c] = s[c];
+      o[JLO + c] = s[c];
+    }
     for (std::size_t a = 0; a < active.size(); ++a) {
       const double w = active[a].w;
       double* ar = acc_base[a] + i * W;
-      for (std::size_t j = 0; j < W; ++j) ar[j] += w * oi[j];
+      for (std::size_t j = 0; j < W; ++j) ar[j] += w * o[j];
     }
   }
 }
@@ -437,7 +448,8 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   return detail::sweep_scaled(
       model, scale_model(model, options.scale_policy, options.center), {},
       times, options,
-      {&RandomizationMomentSolver::truncation_point, &theorem4_error_bound},
+      {&RandomizationMomentSolver::truncation_point, &theorem4_error_bound,
+       &log_theorem4_prefactor},
       terminal_weights, total_t0, caller);
 }
 
@@ -569,15 +581,38 @@ RetainedSweep sweep_scaled(const SecondOrderMrm& model, ScaledModel scaled,
   // recursion's majorant is the looser (2k)^n / n!.
   const bool apply_majorant = impulse.empty();
 
-  // Per-time-point Poisson weight tables, one lgamma each (mode-centered
-  // multiplicative recurrence with left truncation) — the old code paid one
-  // lgamma per (k, time point) pair inside the sweep.
+  // Per-time-point Poisson weight tables, one lgamma each. The right end
+  // is G; the left end drops the mass epsilon cannot see. Below the mode
+  // (k <= qt), j! d^j U^(j)(k) <= P_j (Lemma 2: U^(j)(k) <= 2 k!/(k-j)! <=
+  // 2 (qt)^j; the impulse majorant: (2k)^j / j!), so dropping left mass M
+  // costs any order at most P M, P = max_j P_j. The window drops M only
+  // while P M < 1/4 ulp of the right-tail bound, so right + P M rounds back
+  // to right and the reported bound keeps its bits. With no room (right
+  // underflowed to 0, or a target below what the DBL_MIN floor reaches)
+  // the window keeps every normal-range weight and nothing is charged.
   const std::int64_t window_t0 = obs::now_ns();
   std::vector<prob::PoissonWindow> windows(times.size());
   stats.window_widths.assign(times.size(), 0);
   for (std::size_t ti = 0; ti < times.size(); ++ti) {
     const double qt = scaled.q * times[ti];
-    if (qt > 0.0) windows[ti] = prob::poisson_weight_window(qt, trunc[ti]);
+    if (qt > 0.0) {
+      const double right = sweep.error_bounds[ti];
+      double log_p = rule.log_prefactor(qt, 0, scaled.d);
+      for (std::size_t j = 1; j <= n; ++j)
+        log_p = std::max(log_p, rule.log_prefactor(qt, j, scaled.d));
+      const double ulp =
+          std::nextafter(right, std::numeric_limits<double>::infinity()) -
+          right;
+      const double log_target =
+          right > 0.0 ? std::log(0.25 * ulp) - log_p
+                      : -std::numeric_limits<double>::infinity();
+      windows[ti] = prob::poisson_weight_window(qt, trunc[ti], log_target);
+      if (windows[ti].log_left_mass < log_target) {
+        const double left = std::exp(log_p + windows[ti].log_left_mass);
+        check::check_left_cut(left, right, caller);
+        sweep.error_bounds[ti] = right + left;
+      }
+    }
     stats.window_widths[ti] = windows[ti].weights.size();
     obs::trace_counter("poisson.window_width",
                        static_cast<double>(windows[ti].weights.size()));
@@ -765,9 +800,8 @@ std::size_t RandomizationMomentSolver::truncation_point(double qt,
   // an index-shift slip in the appendix — see DESIGN.md). Condition:
   // log_tail(G + 1 - n) < log(eps) - log_prefactor; for n == 0 the
   // prefactor is just log 2.
-  const double log_prefactor =
-      n == 0 ? std::log(2.0) : log_theorem4_prefactor(qt, n, d);
-  const double log_target = std::log(epsilon) - log_prefactor;
+  const double log_target =
+      std::log(epsilon) - log_theorem4_prefactor(qt, n, d);
 
   // poisson_truncation_point returns the smallest K with tail(K+1) < bound;
   // we need the smallest G with tail(G + 1 - n) < bound, i.e. G = K + n.

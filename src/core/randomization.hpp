@@ -30,7 +30,10 @@
 //  * Poisson weights come from per-time-point mode-centered weight tables
 //    (prob::poisson_weight_window, one lgamma per time point) and the
 //    Theorem-4 tail test is evaluated in log space, so qt ~ 40,000 (the
-//    paper's large example) cannot underflow.
+//    paper's large example) cannot underflow. Each table is cut on the left
+//    too, where the dropped mass times the Theorem-4 prefactor stays below
+//    1/4 ulp of the right-tail bound; that term is charged to error_bound
+//    without changing its bits.
 //  * Negative drifts are shifted out and the returned moments are mapped
 //    back through the binomial expansion (the shift is pathwise exact).
 //  * Several accumulation times can share one sweep of the U-recursion: the
@@ -117,8 +120,20 @@ struct MomentResult {
   linalg::Vec weighted;
   /// Theorem-4 truncation point actually used.
   std::size_t truncation_point = 0;
-  /// Theorem-4 error bound achieved at the truncation point for the highest
-  /// moment (0 when it underflows double range).
+  /// Truncation error bound for the highest moment order n: the Theorem-4
+  /// bound (the impulse solver's (4 d qt)^n bound) on the Poisson tail
+  /// beyond the truncation point, plus the left-tail mass the Poisson
+  /// window dropped times the rule's prefactor (below 1/4 ulp of the
+  /// former, so it never changes the bits; DESIGN.md §6). 0 when it
+  /// underflows double range.
+  ///
+  /// The bound is in the SWEEP's frame: it bounds the moments of the
+  /// drift-shifted model, before the terminal-weight factor w_max = max w
+  /// of solve_terminal_weighted and before the drift-shift undo. With
+  /// delta = shift * time, the returned order-n moments are only
+  /// guaranteed within
+  ///   w_max * error_bound + w_max * ((1 + |delta|)^n - 1) * epsilon,
+  /// which exceeds epsilon when w_max > 1 or the shift is non-zero.
   double error_bound = 0.0;
   /// Scaling constants for diagnostics (match section 6 / Table 2 notes).
   double q = 0.0;
@@ -169,7 +184,8 @@ struct RetainedSweep {
   double d = 0.0;
   double shift = 0.0;
   /// Theorem-4 truncation point and achieved error bound per time point,
-  /// computed at max_moment (zeros for the q == 0 closed form).
+  /// computed at max_moment, in the sweep's frame (see
+  /// MomentResult::error_bound; zeros for the q == 0 closed form).
   std::vector<std::size_t> truncation_points;
   std::vector<double> error_bounds;
   /// One (max_moment + 1) x num_states panel per time point: row j is

@@ -24,13 +24,16 @@
 namespace somrm::core::detail {
 
 /// A solver's truncation rule: point(qt, n, d, epsilon) is the smallest G
-/// that honours epsilon for moment order n, and bound(qt, n, d, g) the
-/// error bound achieved at truncation point g. RandomizationMomentSolver
-/// uses Theorem 4; ImpulseMomentSolver uses the (4 d qt)^n bound of
-/// core/impulse_randomization.hpp.
+/// that honours epsilon for moment order n, bound(qt, n, d, g) the error
+/// bound achieved at truncation point g, and log_prefactor(qt, n, d) the
+/// log of the factor P_n with |error of order n| <= P_n * (Poisson mass
+/// the sum leaves out below the mode). RandomizationMomentSolver uses
+/// Theorem 4 (P_n = 2 n! d^n (qt)^n); ImpulseMomentSolver uses the
+/// (4 d qt)^n bound of core/impulse_randomization.hpp. Both give P_0 = 2.
 struct TruncationRule {
   std::size_t (*point)(double qt, std::size_t n, double d, double epsilon);
   double (*bound)(double qt, std::size_t n, double d, std::size_t g);
+  double (*log_prefactor)(double qt, std::size_t n, double d);
 };
 
 /// The one sweep driver of both randomization solvers, from the scaled
@@ -38,9 +41,10 @@ struct TruncationRule {
 /// impulse solver the d-enlargement and the impulse-moment matrices
 /// A~_1..A~_n in @p impulse (empty for the plain solver). This body applies
 /// options.reorder to every operand, picks the truncation point and error
-/// bound of each time point by @p rule, builds the Poisson windows, runs
-/// options.kernel's steps, undoes the reorder and finalizes the retained
-/// moment panels. q == 0 takes the Brownian closed form of @p model.
+/// bound of each time point by @p rule, builds the Poisson windows (left
+/// edges cut where @p rule says epsilon cannot see the dropped mass, which
+/// is charged to the error bound), runs options.kernel's steps, undoes the
+/// reorder and finalizes the retained moment panels. q == 0 takes the Brownian closed form of @p model.
 /// @p terminal_weights as for sweep_retained. @p total_t0 is the now_ns()
 /// reading taken before the caller's setup, @p caller names the solve in
 /// checked-build probe messages.

@@ -48,7 +48,8 @@ std::vector<double> poisson_weights(double lambda, std::size_t k_max) {
   return w;
 }
 
-PoissonWindow poisson_weight_window(double lambda, std::size_t k_max) {
+PoissonWindow poisson_weight_window(double lambda, std::size_t k_max,
+                                    double log_left_target) {
   if (lambda < 0.0)
     throw std::invalid_argument("poisson_weight_window: negative lambda");
   PoissonWindow window;
@@ -66,26 +67,53 @@ PoissonWindow poisson_weight_window(double lambda, std::size_t k_max) {
   const double w_mode = poisson_pmf(mode, lambda);
   if (w_mode == 0.0) {
     // qt so extreme even the mode underflows double range; degenerate empty
-    // window (every weight is 0). left > k_max signals "nothing to add".
+    // window (every weight is 0). left > k_max signals "nothing to add",
+    // and the dropped mass is bounded only by 1.
     window.left = k_max + 1;
+    window.log_left_mass = 0.0;
     return window;
   }
 
-  // Downward from the mode until the weights leave normal double range
-  // (left truncation). The cut must be at DBL_MIN, not 0: in the denormal
-  // range the recurrence w *= k/lambda with k/lambda >= 1/2 rounds the
-  // smallest denormal back onto itself and never reaches zero, which would
-  // both extend the window down to k = lambda/2 with thousands of junk
-  // 5e-324 entries and poison the accumulation loops with denormal
-  // multiplies (~100-cycle microcode assists each). The truncated mass is
-  // < (k_max + 1) * DBL_MIN ~ 1e-300 — far below any Theorem-4 epsilon.
+  // Downward from the mode. Index k is in the window; the walk stops before
+  // k - 1 on the first of two rules:
+  //  * the normal-range floor: the weight leaves normal double range. The
+  //    cut must be at DBL_MIN, not 0: in the denormal range the recurrence
+  //    w *= k/lambda with k/lambda >= 1/2 rounds the smallest denormal back
+  //    onto itself and never reaches zero, which would both extend the
+  //    window down to k = lambda/2 with thousands of junk 5e-324 entries
+  //    and poison the accumulation loops with denormal multiplies
+  //    (~100-cycle microcode assists each);
+  //  * the mass target: the bound Pois(k-1) / (1 - (k-1)/lambda) on the
+  //    mass of 0..k-1 falls below the caller's target. k - 1 < lambda holds
+  //    below the mode, so the bound is finite, and it shrinks with k, so
+  //    the first index that meets the target is the best cut.
+  // Either way log_left_mass records the bound on the mass of 0..k-1, taken
+  // in log space so a sub-normal weight loses no precision.
   const double w_min = std::numeric_limits<double>::min();
+  const bool targeted = log_left_target != kNegInf;
+  // log of 1 / (1 - m/lambda), the geometric factor of the bound at m.
+  const auto log_geometric = [lambda](std::size_t m) {
+    return -std::log1p(-static_cast<double>(m) / lambda);
+  };
   std::vector<double> below;  // weights at mode-1, mode-2, ... (descending k)
   double w = w_mode;
   for (std::size_t k = mode; k > 0; --k) {
-    w *= static_cast<double>(k) / lambda;
-    if (w < w_min) break;
-    below.push_back(w);
+    const double step = static_cast<double>(k) / lambda;
+    const double w_next = w * step;
+    if (w_next < w_min) {
+      window.log_left_mass =
+          std::log(w) + std::log(step) + log_geometric(k - 1);
+      break;
+    }
+    if (targeted) {
+      const double log_mass = std::log(w_next) + log_geometric(k - 1);
+      if (log_mass < log_left_target) {
+        window.log_left_mass = log_mass;
+        break;
+      }
+    }
+    below.push_back(w_next);
+    w = w_next;
   }
   window.left = mode - below.size();
   window.weights.reserve(below.size() + 1 + (k_max - mode));

@@ -8,11 +8,16 @@
 // weight and tail computations here run in log space (lgamma based). This is
 // the same concern Fox & Glynn (1988) address; log-space evaluation is
 // simpler and the weights themselves are well within double range near the
-// mode (≈ 1/sqrt(2 pi qt)).
+// mode (≈ 1/sqrt(2 pi qt)). Like Fox & Glynn, the weight windows cut both
+// tails: on the right at the caller's truncation point, on the left where
+// the remaining mass drops below the caller's target (or the weights leave
+// normal double range), and they report a bound on the left mass they drop
+// so the caller can charge it to its error bound.
 
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 namespace somrm::prob {
@@ -34,21 +39,37 @@ double poisson_pmf(std::size_t k, double lambda);
 /// Weights Pois(k; lambda) for k = 0..k_max inclusive.
 std::vector<double> poisson_weights(double lambda, std::size_t k_max);
 
-/// Left-truncated window of Poisson weights, Fox–Glynn style.
+/// Two-sided window of Poisson weights, Fox–Glynn style.
 ///
-/// weights[i] = Pois(left + i; lambda) for left..right(), where the window
-/// covers every k in [0, k_max] whose weight is a NORMAL positive double
-/// (>= DBL_MIN); sub-normal weights are truncated away — they carry total
-/// mass < (k_max+1) * DBL_MIN and would stall the accumulation hot loops
-/// with denormal-arithmetic microcode assists (for lambda = 40,000 the left
-/// truncation drops the first ~32,000 indices). Built from ONE
+/// weights[i] = Pois(left + i; lambda) for left..right(), built from ONE
 /// lgamma evaluation at the mode and the multiplicative recurrences
 ///   Pois(k+1) = Pois(k) * lambda / (k+1),  Pois(k-1) = Pois(k) * k / lambda,
 /// which are stable in both directions because the anchor is the mode (the
 /// maximal weight) and every step moves downhill.
+///
+/// The right end is the caller's truncation point k_max (or earlier, where
+/// the weights leave normal double range). The left end comes from two
+/// rules, whichever stops the downward walk first:
+///  * the mass target: the walk stops before the first index k-1 whose
+///    remaining left mass bound  Pois(k-1) / (1 - (k-1)/lambda)  (a
+///    geometric majorant, valid because Pois(m-1)/Pois(m) = m/lambda <=
+///    (k-1)/lambda for every m <= k-1 < lambda) falls below
+///    exp(log_left_target). The randomization sweeps derive the target
+///    from epsilon (DESIGN.md §6), so the window holds only the weights
+///    epsilon can see;
+///  * the normal-range floor: every kept weight is a NORMAL positive
+///    double (>= DBL_MIN). Sub-normal weights carry total mass < (k_max+1)
+///    * DBL_MIN and would stall the accumulation hot loops with
+///    denormal-arithmetic microcode assists; for lambda = 40,000 the floor
+///    alone drops the first ~32,000 indices.
 struct PoissonWindow {
   std::size_t left = 0;          ///< first k inside the window
   std::vector<double> weights;   ///< weights[i] = Pois(left + i; lambda)
+  /// log of an upper bound on the mass sum_{k < left} Pois(k; lambda) the
+  /// window leaves out on its left, by whichever rule cut it; -inf when
+  /// nothing is left out. It is below log_left_target exactly when the
+  /// mass target, not the floor, set the left end.
+  double log_left_mass = -std::numeric_limits<double>::infinity();
 
   /// Last k inside the window (== left when the window has one entry).
   std::size_t right() const {
@@ -64,8 +85,13 @@ struct PoissonWindow {
 /// Builds the weight window for k = 0..k_max (right truncation at the
 /// caller's Theorem-4 / uniformization truncation point). O(window width)
 /// multiplications and a single lgamma; replaces k_max per-k lgamma-based
-/// poisson_pmf calls in the randomization sweeps.
-PoissonWindow poisson_weight_window(double lambda, std::size_t k_max);
+/// poisson_pmf calls in the randomization sweeps. @p log_left_target is the
+/// log of the left mass the window may drop; the default -inf keeps every
+/// normal-range weight (the floor rule alone), and costs no logarithm per
+/// index.
+PoissonWindow poisson_weight_window(
+    double lambda, std::size_t k_max,
+    double log_left_target = -std::numeric_limits<double>::infinity());
 
 /// log of the right tail sum  log( sum_{k >= k_min} Pois(k; lambda) ).
 ///

@@ -1,16 +1,11 @@
 // Bit-identity contracts of the CSR panel kernels and the randomization
-// sweeps, asserted with EXPECT_EQ on doubles, never EXPECT_NEAR.
-//
-// The suite names SimdPanelTest and SellCsTest (and their test names) are
-// kept from the SIMD-level kernels and the SELL-C-σ storage format those
-// suites were written for. Both are gone; what the tests pinned still
-// holds for the one remaining CSR path:
-//  * SimdPanelTest — every panel product equals independent SpMVs per
-//    column at every width and thread count, and windowed row-range
+// sweeps, asserted with EXPECT_EQ on doubles, never EXPECT_NEAR:
+//  * CsrPanelTest — every panel product equals independent SpMVs per
+//    column at every width and thread count, also on ragged matrices with
+//    the unsorted-column rows a reorder leaves, and windowed row-range
 //    products leave everything outside their window untouched;
-//  * SellCsTest — the same on ragged matrices with the unsorted-column
-//    rows a reorder leaves, and every sweep (plain, terminal-weighted,
-//    impulse) returning the single-thread bits across
+//  * SweepBitIdentityTest — every sweep (plain, terminal-weighted,
+//    impulse) returns the single-thread bits across
 //    {thread count} x {sweep kernel} x {reorder policy}.
 
 #include <gtest/gtest.h>
@@ -92,10 +87,10 @@ class ThreadCountRestoringTest : public ::testing::Test {
   void TearDown() override { set_num_threads(0); }
 };
 
-class SimdPanelTest : public ThreadCountRestoringTest {};
-class SellCsTest : public ThreadCountRestoringTest {};
+class CsrPanelTest : public ThreadCountRestoringTest {};
+class SweepBitIdentityTest : public ThreadCountRestoringTest {};
 
-TEST_F(SimdPanelTest, PanelProductBitIdenticalAcrossLevelsWidthsThreads) {
+TEST_F(CsrPanelTest, PanelProductBitIdenticalAcrossWidthsThreads) {
   // Widths 1..8 hit every fixed-width row kernel, 24 is the widest solver
   // panel (bounds pipeline), and 33 exceeds the 32-column chunk (chunk loop
   // plus a width-1 tail pass). 9,000 rows split into several parallel
@@ -116,7 +111,7 @@ TEST_F(SimdPanelTest, PanelProductBitIdenticalAcrossLevelsWidthsThreads) {
   }
 }
 
-TEST_F(SimdPanelTest, WindowedAccumulateBitIdenticalAndOutsideUntouched) {
+TEST_F(CsrPanelTest, WindowedAccumulateBitIdenticalAndOutsideUntouched) {
   // multiply_panel_rows with a column window (the fused sweep's shape):
   // src/dst offsets differ, accumulate=true, and only a row subrange runs.
   // Everything outside the window — columns below dst_col, past
@@ -142,7 +137,7 @@ TEST_F(SimdPanelTest, WindowedAccumulateBitIdenticalAndOutsideUntouched) {
     }
 }
 
-TEST_F(SimdPanelTest, EmptyRowsAndEmptyRangeAreHandled) {
+TEST_F(CsrPanelTest, EmptyRowsAndEmptyRangeAreHandled) {
   // Rows with no stored entries must still write zeros (assign mode), and a
   // zero-length row range must be a no-op in either mode.
   CsrBuilder b(6, 6);
@@ -163,7 +158,7 @@ TEST_F(SimdPanelTest, EmptyRowsAndEmptyRangeAreHandled) {
   }
 }
 
-TEST_F(SellCsTest, MultiplyPanelBitIdenticalToCsrAcrossLevelsWidthsThreads) {
+TEST_F(CsrPanelTest, RaggedPanelProductBitIdenticalAcrossWidthsThreads) {
   // Ragged rows, and the same rows after a symmetric permutation, which
   // leaves their columns unsorted (the matrices a reordered sweep
   // multiplies). Widths 1..8 hit every fixed-width kernel; 11 exercises the
@@ -188,7 +183,7 @@ TEST_F(SellCsTest, MultiplyPanelBitIdenticalToCsrAcrossLevelsWidthsThreads) {
     }
 }
 
-TEST_F(SellCsTest, MultiplyPanelRowsMatchesCsrOnArbitraryWindows) {
+TEST_F(CsrPanelTest, RaggedPanelRowsMatchSpmvsOnArbitraryWindows) {
   // Row ranges of any offset and length, column windows (src_col, dst_col,
   // count) as the sweep uses them, and both accumulate modes, on ragged
   // rows: inside the window each cell is its SpMV entry (plus the seed when
@@ -313,7 +308,7 @@ void for_each_sweep_config(Solve&& solve) {
       }
 }
 
-TEST_F(SellCsTest, SolverBitIdenticalAcrossStorageLevelsThreadsKernels) {
+TEST_F(SweepBitIdentityTest, SolverBitIdenticalAcrossThreadsKernelsReorders) {
   const core::RandomizationMomentSolver solver(ragged_model(kStates));
   const std::vector<double> times = {0.3, 1.1};
   set_num_threads(1);
@@ -329,7 +324,7 @@ TEST_F(SellCsTest, SolverBitIdenticalAcrossStorageLevelsThreadsKernels) {
   });
 }
 
-TEST_F(SellCsTest, TerminalWeightedSolveBitIdenticalAcrossStorage) {
+TEST_F(SweepBitIdentityTest, TerminalWeightedBitIdenticalAcrossThreadsKernelsReorders) {
   const core::RandomizationMomentSolver solver(ragged_model(kStates));
   Vec weights(kStates);
   for (std::size_t i = 0; i < kStates; ++i)
@@ -343,7 +338,7 @@ TEST_F(SellCsTest, TerminalWeightedSolveBitIdenticalAcrossStorage) {
   });
 }
 
-TEST_F(SellCsTest, ImpulseSolverBitIdenticalAcrossStorageAndKernels) {
+TEST_F(SweepBitIdentityTest, ImpulseSolverBitIdenticalAcrossThreadsKernelsReorders) {
   const core::ImpulseMomentSolver solver(ragged_impulse_model(kStates));
   const std::vector<double> times = {0.4, 0.9};
   set_num_threads(1);

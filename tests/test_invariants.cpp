@@ -179,6 +179,14 @@ TEST(InvariantsTest, TruncationBoundProbesFire) {
       {"theorem4.monotone", "bound(10)", "bound(9)"});
   EXPECT_NO_THROW(
       check::check_truncation_bound(5e-10, 7e-10, 1e-9, 10, "test"));
+  // A left-tail term at or above 1/4 ulp of the right-tail bound (ulp(1e-9)
+  // is 2^-82, about 2.07e-25): charging it would change the reported bits.
+  expect_violation([] { check::check_left_cut(1e-25, 1e-9, "test"); },
+                   {"poisson.left_cut", "1/4 ulp"});
+  expect_violation([] { check::check_left_cut(-1e-30, 1e-9, "test"); },
+                   {"poisson.left_cut"});
+  EXPECT_NO_THROW(check::check_left_cut(1e-27, 1e-9, "test"));
+  EXPECT_NO_THROW(check::check_left_cut(0.0, 0.0, "test"));
 }
 
 TEST(InvariantsTest, JensenViolationFires) {

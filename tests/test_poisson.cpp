@@ -161,6 +161,72 @@ TEST(PoissonWindowTest, CoversAllNormalRangeWeights) {
     EXPECT_GE(w, std::numeric_limits<double>::min());  // no denormal entries
 }
 
+/// log sum_{k < left} Pois(k; lambda), summed directly from the log-pmf
+/// (log-sum-exp around the largest term, k = left - 1).
+double direct_log_left_mass(double lambda, std::size_t left) {
+  const double top = log_poisson_pmf(left - 1, lambda);
+  double sum = 0.0;
+  for (std::size_t k = 0; k < left; ++k)
+    sum += std::exp(log_poisson_pmf(k, lambda) - top);
+  return top + std::log(sum);
+}
+
+TEST(PoissonWindowTest, MassTargetBoundsTheDroppedLeftMass) {
+  // The targeted window drops left mass whose reported bound covers the
+  // directly summed mass and meets the target, cuts as far as the target
+  // allows (one more index would break it), and keeps the untargeted
+  // window's weights bit for bit.
+  for (const double lambda : {150.0, 1000.0, 40000.0}) {
+    const std::size_t k_max = static_cast<std::size_t>(
+        lambda + 12.0 * std::sqrt(lambda) + 40.0);
+    const PoissonWindow full = poisson_weight_window(lambda, k_max);
+    for (const double target : {-40.0, -90.0, -300.0}) {
+      if (target <= -lambda) continue;  // log Pois(0) = -lambda: no cut
+      const PoissonWindow win = poisson_weight_window(lambda, k_max, target);
+      ASSERT_GT(win.left, full.left) << "lambda " << lambda << " target "
+                                     << target;
+      EXPECT_LT(win.log_left_mass, target);
+      EXPECT_GE(win.log_left_mass,
+                direct_log_left_mass(lambda, win.left) - 1e-12)
+          << "lambda " << lambda << " target " << target;
+      // Cutting win.left too: the bound Pois(left) / (1 - left/lambda).
+      const double one_more =
+          log_poisson_pmf(win.left, lambda) -
+          std::log1p(-static_cast<double>(win.left) / lambda);
+      EXPECT_GE(one_more, target - 1e-9)
+          << "lambda " << lambda << " target " << target;
+      EXPECT_EQ(win.right(), full.right());
+      for (std::size_t k = win.left; k <= win.right(); ++k)
+        ASSERT_EQ(win.weight(k), full.weight(k)) << "k " << k;
+    }
+  }
+}
+
+TEST(PoissonWindowTest, UnreachableTargetsKeepTheTwoArgumentWindow) {
+  // A target of -inf, or one below what the normal-range floor reaches,
+  // reproduces the two-argument window exactly, including the bound on
+  // the mass the floor drops.
+  for (const double lambda : {0.3, 2.5, 150.0, 1000.0, 40000.0}) {
+    const std::size_t k_max =
+        static_cast<std::size_t>(lambda + 10.0 * std::sqrt(lambda) + 30.0);
+    const PoissonWindow full = poisson_weight_window(lambda, k_max);
+    for (const double target :
+         {-std::numeric_limits<double>::infinity(), -750.0}) {
+      const PoissonWindow win = poisson_weight_window(lambda, k_max, target);
+      EXPECT_EQ(win.left, full.left) << "lambda " << lambda;
+      EXPECT_EQ(win.weights, full.weights) << "lambda " << lambda;
+      EXPECT_EQ(win.log_left_mass, full.log_left_mass) << "lambda " << lambda;
+    }
+    if (full.left == 0) {
+      EXPECT_EQ(full.log_left_mass, -std::numeric_limits<double>::infinity());
+    } else {
+      EXPECT_GE(full.log_left_mass,
+                direct_log_left_mass(lambda, full.left) - 1e-12)
+          << "lambda " << lambda;
+    }
+  }
+}
+
 TEST(PoissonWindowTest, WeightAccessorZeroOutsideWindow) {
   const PoissonWindow win = poisson_weight_window(1000.0, 1200);
   if (win.left > 0) {

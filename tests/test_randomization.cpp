@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -615,6 +617,65 @@ TEST(RandomizationTest, TerminalWeightedFillsErrorBound) {
   // And it matches the plain solve's bound machinery at the same G.
   const auto plain = solver.solve(0.9, opts);
   EXPECT_EQ(res.truncation_point, plain.truncation_point);
+}
+
+/// FNV-1a over the bit patterns of every G, error bound and moment.
+std::uint64_t result_digest(const std::vector<MomentResult>& results) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mix_double = [&mix](double v) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &v, sizeof word);
+    mix(word);
+  };
+  for (const MomentResult& r : results) {
+    mix(r.truncation_point);
+    mix_double(r.error_bound);
+    for (const Vec& row : r.per_state)
+      for (double v : row) mix_double(v);
+    for (double v : r.weighted) mix_double(v);
+  }
+  return h;
+}
+
+TEST(RandomizationLeftCutTest, Table2ModelSkipsWeightsEpsilonCannotSee) {
+  // The 2,001-state Table-2 model at t = 0.01..0.05, n = 3, epsilon =
+  // 1e-9. Windows that kept every normal-range weight held 169, 284, 391,
+  // 494 and 594 weights, 1,927 active weights over the sweep. The
+  // epsilon-derived left edge must drop a fifth of them, grow no window,
+  // and leave G, every error bound and every moment on the bits those
+  // windows gave (hexfloats and digest captured from them), in both
+  // kernels.
+  models::OnOffMultiplexerParams p = models::table2_params();
+  p.num_sources = 2000;
+  p.capacity = 2000.0;
+  const RandomizationMomentSolver solver(models::make_onoff_multiplexer(p));
+  const std::vector<double> times{0.01, 0.02, 0.03, 0.04, 0.05};
+  const std::size_t dbl_min_widths[] = {169, 284, 391, 494, 594};
+  const std::size_t g[] = {168, 283, 390, 493, 593};
+  const double error_bounds[] = {0x1.a26180334efcdp-31, 0x1.8297de22693a2p-31,
+                                 0x1.9599126243ca3p-31, 0x1.99b47321757a7p-31,
+                                 0x1.e1e0164142c21p-31};
+  for (const SweepKernel kernel :
+       {SweepKernel::kPanel, SweepKernel::kFusedVectors}) {
+    MomentSolverOptions options;
+    options.kernel = kernel;
+    const std::vector<MomentResult> res = solver.solve_multi(times, options);
+    const obs::SolverStats& stats = res[0].stats;
+    EXPECT_LE(stats.active_weight_sum, 1600u) << stats.kernel;
+    ASSERT_EQ(stats.window_widths.size(), times.size());
+    for (std::size_t ti = 0; ti < times.size(); ++ti) {
+      EXPECT_LE(stats.window_widths[ti], dbl_min_widths[ti]) << ti;
+      EXPECT_EQ(res[ti].truncation_point, g[ti]) << ti;
+      EXPECT_EQ(res[ti].error_bound, error_bounds[ti]) << ti;
+    }
+    EXPECT_EQ(result_digest(res), 0x75d6f677c415cc37ull) << stats.kernel;
+  }
 }
 
 }  // namespace

@@ -249,7 +249,8 @@ void expect_same_moments(const std::vector<MomentResult>& got,
 TEST(ReorderTest, SolverRoundTripIsBitIdentical) {
   // Every reordered solve must return the unreordered bits, for the plain
   // solver, the terminal-weighted sweep and the impulse solver. (The same
-  // contract across thread counts and sweep kernels is SellCsTest's.) At
+  // contract across thread counts and sweep kernels is
+  // SweepBitIdentityTest's, in test_bit_identity.cpp.) At
   // 4,096 states both policies shrink the bandwidth, so every solve really
   // runs permuted.
   const std::size_t n = 4096;
